@@ -1,26 +1,20 @@
-"""Ablation A19 — batched transient + runtime kernels on the sweep path.
+"""Ablation A19 — the dynamic kernels on the sweep path, batched or not.
 
-PR 5 vectorized the *steady* sweep hot path (bench A17); this bench
-gates the dynamic half. The ``transient`` evaluator now marches whole
-step-response sweeps in lockstep through
-:func:`repro.cosim.batch.batched_step_responses` (one thermal model per
-flow/inlet family, scenario states stacked as multi-RHS columns of the
-exact backward-Euler factorizations), and the ``runtime`` evaluator
-mounts every scenario of a trace group as a lane of
-:class:`~repro.runtime.engine.BatchedRuntimeEngine` (vector PID/governor
-state, array SOC, one multi-column thermal step per distinct flow per
-control interval). The race asserts:
+The ``transient`` and ``runtime`` evaluators have one implementation
+each: the batch kernels that march step responses in lockstep through
+:func:`repro.cosim.batch.batched_step_responses` and mount runtime
+scenarios as lanes of :class:`~repro.runtime.engine.BatchedRuntimeEngine`.
+The :class:`~repro.sweep.backends.SerialBackend` runs them on a batch of
+one scenario at a time; the :class:`~repro.sweep.backends.VectorizedBackend`
+hands them the whole preset. The bench asserts:
 
-- the :class:`~repro.sweep.backends.VectorizedBackend` beats the
-  :class:`~repro.sweep.backends.ProcessBackend` by >= 3x on both dynamic
-  presets,
-- while agreeing with :class:`~repro.sweep.backends.SerialBackend`
-  scenario by scenario within
-  :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (the dynamic kernels
-  are in fact bit-identical — trajectories feed discontinuous control
-  decisions, so the batched path reuses the scalar arithmetic exactly),
-- and the batched engine stays reachable from the CLI
-  (``repro runtime --backend vectorized``).
+- serial and vectorized agree scenario by scenario, bit for bit (a
+  batch of N is N batches of one), and the process pool matches serial
+  bit for bit;
+- cold serial takes at most ``MAX_SERIAL_RATIO`` x the vectorized time
+  on both dynamic presets: a scenario run alone pays for its own thermal
+  models and node curves, but no longer for a second, slower code path;
+- the runtime engine stays reachable from the CLI (``repro runtime``).
 
 Every timed run starts cold: evaluator lru caches, vectorized kernel
 caches, the shared thermal-model store and the polarization-surface
@@ -48,7 +42,7 @@ from repro.sweep import (
     get_preset,
 )
 from repro.sweep.evaluators import _array, _peak_temperature_c
-from repro.sweep.vectorized import EQUIVALENCE_RTOL, clear_caches
+from repro.sweep.vectorized import clear_caches
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -57,8 +51,10 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: dominates the pool's fixed overheads.
 POINTS = {"transient": 8 if SMOKE else 16, "runtime": 4 if SMOKE else 8}
 
-#: Acceptance floor for vectorized vs process (the PR's headline claim).
-MIN_SPEEDUP = 3.0
+#: Acceptance ceiling for cold serial vs vectorized wall time: one
+#: scenario per batch may cost more model and curve builds, not a
+#: different implementation.
+MAX_SERIAL_RATIO = 2.0
 
 #: Process-pool width: the CI smoke configuration (--jobs 2) scaled up to
 #: what this host can actually exploit.
@@ -110,12 +106,11 @@ def test_a19_dynamic_batch_speedup(benchmark, preset_name):
         f"A19 — dynamic backend race on the '{preset_name}' preset "
         f"({len(specs)} scenarios)",
         format_table(
-            ["backend", "wall [s]", "vs process", "worst rel dev"],
+            ["backend", "wall [s]", "vs vectorized", "worst rel dev"],
             [
-                ["serial", serial_s, process_s / serial_s, 0.0],
-                ["process", process_s, 1.0, 0.0],
-                ["vectorized", vectorized_s, process_s / vectorized_s,
-                 deviation],
+                ["serial", serial_s, serial_s / vectorized_s, 0.0],
+                ["process", process_s, process_s / vectorized_s, 0.0],
+                ["vectorized", vectorized_s, 1.0, deviation],
             ],
         ),
     )
@@ -124,26 +119,22 @@ def test_a19_dynamic_batch_speedup(benchmark, preset_name):
         f"{preset_name}_serial_s": serial_s,
         f"{preset_name}_process_s": process_s,
         f"{preset_name}_vectorized_s": vectorized_s,
-        f"{preset_name}_speedup": process_s / vectorized_s,
+        f"{preset_name}_serial_ratio": serial_s / vectorized_s,
         f"{preset_name}_worst_rel_dev": deviation,
     })
     obs_artifacts(f"A19_{preset_name}")
     # Equivalence first: a fast wrong answer is not a speedup. Process
-    # must match serial bit-for-bit (same pure functions); the dynamic
-    # kernels are designed bit-identical, asserted here at the documented
-    # tolerance (the exact-equality pins live in the backend matrix and
-    # property tests).
+    # must match serial bit-for-bit (same pure functions), and so must
+    # vectorized: serial runs the same kernels on batches of one.
     assert _worst_relative_deviation(serial, process) == 0.0
-    assert deviation <= EQUIVALENCE_RTOL
-    # The headline: lockstep batching beats the process pool >= 3x on
-    # the dynamic presets.
-    assert process_s / vectorized_s >= MIN_SPEEDUP
+    assert deviation == 0.0
+    # The contract: a scenario run alone costs at most a small factor
+    # more than its share of a lockstep batch.
+    assert serial_s / vectorized_s <= MAX_SERIAL_RATIO
 
 
-def test_a19_batched_engine_reachable_from_cli():
-    """`repro runtime --backend vectorized` drives the batched engine."""
+def test_a19_runtime_engine_reachable_from_cli():
+    """`repro runtime` drives the runtime engine (a batch of one lane)."""
     from repro.cli import main
 
-    assert main([
-        "runtime", "--trace", "step", "--backend", "vectorized",
-    ]) == 0
+    assert main(["runtime", "--trace", "step"]) == 0

@@ -1,13 +1,12 @@
-"""Batched transient co-simulation: many step responses marched together.
+"""Transient co-simulation: step responses marched together.
 
-The scalar :class:`~repro.cosim.transient.TransientCosim` integrates one
-utilization step at a time: one thermal model, one backward-Euler LU per
-step size, one trajectory. A transient *sweep* runs dozens of such
-trajectories whose thermal systems are nearly identical — the ``transient``
-preset varies utilization pairs and step sizes far more often than it
-varies the matrix-defining knobs (flow, inlet, raster).
-
-:func:`batched_step_responses` exploits that structure:
+:func:`batched_step_responses` is the one implementation of the
+step-response march; :meth:`~repro.cosim.transient.TransientCosim.
+run_step_response` runs a single case as a batch of one. A transient
+*sweep* runs dozens of trajectories whose thermal systems are nearly
+identical — the ``transient`` preset varies utilization pairs and step
+sizes far more often than it varies the matrix-defining knobs (flow,
+inlet, raster) — and the march exploits that structure:
 
 - scenarios sharing ``(flow, inlet, nx, ny)`` share one
   :class:`~repro.thermal.model.ThermalModel` — one sparse assembly, one
@@ -17,24 +16,21 @@ varies the matrix-defining knobs (flow, inlet, raster).
   their states ride as stacked columns through
   :class:`~repro.thermal.batch.AnchoredTransientSolver`, so each time step
   costs one multi-RHS triangular solve instead of one solve per scenario;
-- sampling reuses the scalar stepper's own ``_sample`` (shared
-  :class:`~repro.cosim.surface.PolarizationSurface`, same group
-  partition), applied per column — but first *prefills* the surface:
-  the group temperatures of all columns at each sample time go through
-  :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so the
-  node curves the scalar path would build one by one (a full porous
-  march each) are marched as one batch.
+- sampling reads each column's channel-group temperatures off the shared
+  :class:`~repro.cosim.surface.PolarizationSurface` — but first
+  *prefills* the surface: the group temperatures of all columns at each
+  sample time go through
+  :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so missing
+  node curves are marched as one batch instead of one by one.
 
-Equivalence: the thermal trajectories are *bit-exact* — SuperLU solves a
-multi-column right-hand side column by column, the stacked step formula
-mirrors the scalar one elementwise, and every column is copied contiguous
-before sampling so reductions see the same memory layout. That matters
-because the temperatures feed discontinuous decisions downstream
-(settling-band exits here, control branches in the runtime layer). The
-sampled *currents* agree with the scalar path to floating-point round-off
-rather than exactly: prefilled node curves come from the batched
-polarization march, which matches the scalar construction only to ~1 ulp.
-Currents feed no branch in either layer, so the round-off never amplifies.
+Equivalence: a case's trajectory — temperatures and currents — is
+*bit-exact* whatever batch it rides in: SuperLU solves a multi-column
+right-hand side column by column, every column is copied contiguous
+before sampling so reductions see the same memory layout, and the
+batched polarization march builds each node curve independently of the
+rest of its batch. That matters because the temperatures feed
+discontinuous decisions downstream (settling-band exits here, control
+branches in the runtime layer).
 """
 
 from __future__ import annotations
@@ -45,7 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
-from repro.cosim.transient import TransientCosim, TransientSample
+from repro.cosim.surface import surface_for
+from repro.cosim.transient import TransientSample
 from repro.errors import ConfigurationError
 
 
@@ -65,9 +62,12 @@ def batched_step_responses(
 ) -> "list[list[TransientSample]]":
     """Step-response trajectories for every case, batch-marched.
 
-    Returns one sample list per case, in input order, each bit-identical
-    to ``TransientCosim(case.config).run_step_response(...)`` with the
-    case's parameters.
+    Returns one sample list per case, in input order. Each case starts
+    at the steady state of ``utilization_before``, switches to
+    ``utilization_after`` at t = 0, and is sampled every ``dt_s`` for
+    ``duration_s``; when ``duration_s`` is not an integer multiple of
+    ``dt_s``, a final partial step lands the last sample exactly at
+    ``duration_s``.
     """
     from repro.casestudy.power7plus import (
         build_thermal_model,
@@ -101,8 +101,8 @@ def batched_step_responses(
 
     results: "list[list[TransientSample] | None]" = [None] * len(cases)
     for (flow, inlet, nx, ny), marches in sorted(families.items()):
-        # One model for the whole family — utilization only scales the
-        # right-hand side, exactly as in the scalar stepper.
+        # One model for the whole family: utilization only scales the
+        # right-hand side, so the assembly and factorizations are shared.
         model = build_thermal_model(
             nx=nx, ny=ny,
             total_flow_ml_min=flow,
@@ -118,7 +118,7 @@ def batched_step_responses(
                 base_rhs[:, None], len(indices), axis=1
             )
             columns_after = columns_before.copy()
-            samplers = []
+            configs = []
             for k, index in enumerate(indices):
                 case = cases[index]
                 columns_before[span, k] += full_load_power_map(
@@ -127,82 +127,99 @@ def batched_step_responses(
                 columns_after[span, k] += full_load_power_map(
                     nx, ny, utilization=case.utilization_after
                 ).ravel()
-                samplers.append(TransientCosim(case.config))
+                configs.append(case.config)
             states = solver.solve_steady_columns(columns_before)
 
             trajectories: "list[list[TransientSample]]" = [
-                [] for _ in samplers
+                [] for _ in configs
             ]
-            _sample_columns(samplers, model, states, 0.0, trajectories)
-            # Same stepping schedule (and float guards) as the scalar
-            # run_step_response: full dt steps as two half steps each,
-            # then one partial step landing exactly at duration_s.
-            n_full = int(duration_s / dt_s + 1e-9)
-            remainder = duration_s - n_full * dt_s
-            if remainder <= 1e-9 * dt_s:
-                remainder = 0.0
-            for i in range(1, n_full + 1):
-                states = solver.step_columns(
-                    states, columns_after, dt_s / 2.0
-                )
-                states = solver.step_columns(
-                    states, columns_after, dt_s / 2.0
-                )
-                at_end = i == n_full and remainder == 0.0
-                time_s = duration_s if at_end else dt_s * i
-                _sample_columns(samplers, model, states, time_s, trajectories)
-            if remainder > 0.0:
-                states = solver.step_columns(
-                    states, columns_after, remainder / 2.0
-                )
-                states = solver.step_columns(
-                    states, columns_after, remainder / 2.0
-                )
-                _sample_columns(
-                    samplers, model, states, duration_s, trajectories
-                )
+            _sample_columns(configs, model, states, 0.0, trajectories)
+            for step_s, time_s in _step_schedule(duration_s, dt_s):
+                for _ in range(2):  # each sample interval as two half steps
+                    states = solver.step_columns(
+                        states, columns_after, step_s / 2.0
+                    )
+                _sample_columns(configs, model, states, time_s, trajectories)
             for k, index in enumerate(indices):
                 results[index] = trajectories[k]
     return [samples for samples in results if samples is not None]
 
 
+def _step_schedule(
+    duration_s: float, dt_s: float
+) -> "list[tuple[float, float]]":
+    """``(step, sample time)`` pairs of one march.
+
+    Full ``dt_s`` steps (the step size is passed *exactly*, so every full
+    step shares one cached factorization), then one partial step landing
+    exactly at ``duration_s``. The float guard keeps an exact multiple
+    (e.g. 0.5 / 0.05) at exactly ``duration_s / dt_s`` full steps rather
+    than growing a sliver step.
+    """
+    n_full = int(duration_s / dt_s + 1e-9)
+    remainder = duration_s - n_full * dt_s
+    schedule = [(dt_s, dt_s * i) for i in range(1, n_full + 1)]
+    if remainder > 1e-9 * dt_s:
+        schedule.append((remainder, duration_s))
+    else:
+        schedule[-1] = (dt_s, duration_s)
+    return schedule
+
+
 def _sample_columns(
-    samplers: "list[TransientCosim]",
+    configs: "list[CosimConfig]",
     model,
     states: np.ndarray,
     time_s: float,
     trajectories: "list[list[TransientSample]]",
 ) -> None:
-    """Sample every column at one time, prefilling the surfaces first.
-
-    All columns' group temperatures go through ``warm_nodes`` before any
-    scalar ``_sample`` call, so missing node curves are marched as one
-    batch instead of one scalar march per first-touching column.
-    """
-    solutions = [
-        _column_solution(model, states, k) for k in range(len(samplers))
-    ]
-    queries: "dict[int, tuple[object, list[np.ndarray]]]" = {}
-    for sampler, solution in zip(samplers, solutions):
-        surface = sampler._surface
-        temps = group_coolant_temperatures(solution, sampler.config)
-        queries.setdefault(id(surface), (surface, []))[1].append(temps)
-    for surface, temp_arrays in queries.values():
-        surface.warm_nodes(np.concatenate(temp_arrays))
-    for k, (sampler, solution) in enumerate(zip(samplers, solutions)):
-        trajectories[k].append(sampler._sample(time_s, solution))
+    """Append every column's sample at one time to its trajectory."""
+    for k, values in enumerate(sample_columns(model, states, configs)):
+        trajectories[k].append(TransientSample(time_s, *values))
 
 
-def _column_solution(model, states: np.ndarray, k: int):
-    """One scenario column as a scalar-identical ``ThermalSolution``.
+def sample_columns(
+    model, states: np.ndarray, configs: "Sequence[CosimConfig]"
+) -> "list[tuple[float, float, float]]":
+    """Peak junction [degC], mean coolant [degC] and array current [A]
+    of every thermal state column, column ``k`` under ``configs[k]``.
 
-    The column is copied contiguous first: numpy's pairwise reductions
-    (``mean``/``max`` inside the samplers) can round differently on
-    strided views, and bit-identity with the scalar trajectory is the
-    contract here.
+    The one sampling step of the dynamic layers (step responses and the
+    runtime engine). All columns' channel-group temperatures go through
+    :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes` before
+    any current lookup, so missing node curves are marched as one batch
+    instead of one march per first-touching column. Each column is
+    copied contiguous first: numpy's pairwise reductions can round
+    differently on strided views, and a column must sample
+    bit-identically whatever batch it rides in.
     """
     from repro.thermal.solver import ThermalSolution
 
-    return ThermalSolution(
-        temperatures_k=np.ascontiguousarray(states[:, k]), model=model
-    )
+    solutions = [
+        ThermalSolution(
+            temperatures_k=np.ascontiguousarray(states[:, k]), model=model
+        )
+        for k in range(len(configs))
+    ]
+    group_temps = [
+        group_coolant_temperatures(solution, config)
+        for solution, config in zip(solutions, configs)
+    ]
+    surfaces = [surface_for(config) for config in configs]
+    queries: "dict[int, tuple[object, list[np.ndarray]]]" = {}
+    for surface, temps in zip(surfaces, group_temps):
+        queries.setdefault(id(surface), (surface, []))[1].append(temps)
+    for surface, temp_arrays in queries.values():
+        surface.warm_nodes(np.concatenate(temp_arrays))
+    samples = []
+    for solution, config, surface, temps in zip(
+        solutions, configs, surfaces, group_temps
+    ):
+        current = surface.currents_at(temps, config.operating_voltage_v)
+        fluid = solution.field("channels", "fluid")
+        samples.append((
+            solution.peak_celsius,
+            float(fluid.mean()) - 273.15,
+            float(current.sum()),
+        ))
+    return samples

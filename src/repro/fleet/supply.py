@@ -33,6 +33,7 @@ fairness index the fleet KPIs report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +157,17 @@ def _conserve(
     sum is exact (up to float round-off of the final additions) while
     every flow stays inside ``[lo, hi]``.
 
+    The residue is an exactly rounded sum (``math.fsum``), so it does not
+    depend on chip order, and every update is elementwise: a permuted
+    fleet gets the permuted allocation, bit for bit.
+
     A uniform spread would push chips already pinned at a bound past it;
     instead each pass adds the residue evenly to the unsaturated chips
     only, re-clips, and repeats (at most ``n`` passes — each pass either
     clears the residue or saturates at least one more chip)."""
     flows = np.clip(flows, lo, hi)
     for _ in range(flows.size):
-        residue = total_ml_min - float(flows.sum())
+        residue = total_ml_min - math.fsum(flows)
         if residue == 0.0:
             break
         free = flows < hi if residue > 0.0 else flows > lo
@@ -191,6 +196,11 @@ def proportional_allocation(
     evenly (the A11 allocation weighting). Chips capped at the maximum
     flow hand their excess back to the uncapped rest, preserving the
     total.
+
+    Every reduction is an exactly rounded ``math.fsum`` and every update
+    elementwise, so the allocation is permutation-equivariant bit for
+    bit: a chip's flow cannot land on either side of a valve-level
+    midpoint depending on where it sits in the fleet.
     """
     utilization = np.asarray(utilization, dtype=float)
     n = supply.n_chips
@@ -198,7 +208,7 @@ def proportional_allocation(
         raise ConfigurationError(
             f"utilization must have shape ({n},), got {utilization.shape}"
         )
-    demand = utilization.sum()
+    demand = math.fsum(utilization)
     share = (
         utilization / demand if demand > 0.0 else np.full(n, 1.0 / n)
     )
@@ -213,12 +223,12 @@ def proportional_allocation(
         if not over.any():
             break
         passes += 1
-        excess = float((flows[over] - supply.max_flow_ml_min).sum())
+        excess = math.fsum(flows[over] - supply.max_flow_ml_min)
         flows[over] = supply.max_flow_ml_min
         free = ~over
         if not free.any() or excess <= 0.0:
             break
-        flows[free] += excess * weights[free] / float(weights[free].sum())
+        flows[free] += excess * weights[free] / math.fsum(weights[free])
     obs.inc("fleet.allocation.iterations", passes)
     return _conserve(
         flows,

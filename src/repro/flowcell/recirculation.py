@@ -80,6 +80,14 @@ class ElectrolyteReservoir:
         """An :class:`Electrolyte` snapshot at the present composition."""
         return self.electrolyte.with_concentrations(self._conc_ox, self._conc_red)
 
+    def set_concentrations(
+        self, conc_ox_mol_m3: float, conc_red_mol_m3: float
+    ) -> None:
+        """Overwrite the present composition (a batched stepper storing
+        its final state back into the tank it started from)."""
+        self._conc_ox = float(conc_ox_mol_m3)
+        self._conc_red = float(conc_red_mol_m3)
+
     def draw_charge(self, charge_c: float) -> None:
         """Convert species for a (dis)charge of ``charge_c`` coulombs.
 

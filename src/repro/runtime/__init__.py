@@ -13,10 +13,11 @@ power-delivery demands as workload varies:
 - :mod:`repro.runtime.state` — electrolyte reservoir state-of-charge
   along a trace (the flow-battery storage side);
 - :mod:`repro.runtime.engine` — the stepper tying them together into a
-  :class:`RuntimeResult` time series with energy/thermal KPIs, plus the
-  :class:`BatchedRuntimeEngine` that advances many scenario lanes per
-  control interval (vector controllers, array SOC, shared multi-column
-  thermal steps) with bit-identical trajectories.
+  :class:`RuntimeResult` time series with energy/thermal KPIs: the
+  :class:`BatchedRuntimeEngine` advances scenario lanes per control
+  interval (vector controllers, array SOC, shared multi-column thermal
+  steps), and :class:`RuntimeEngine` runs one scenario as a batch of
+  one lane.
 
 The ``runtime`` sweep evaluator, the ``runtime-pid`` optimization preset
 and the ``repro runtime`` CLI command are thin wrappers over this
@@ -28,7 +29,6 @@ beats the paper's fixed nominal flow on net energy without violating the
 from repro.runtime.controllers import (
     FixedFlow,
     FlowController,
-    Observation,
     PIDFlowController,
     ThrottleGovernor,
     VectorFlowControllers,
@@ -66,7 +66,6 @@ __all__ = [
     "ElectrolyteStateArray",
     "FixedFlow",
     "FlowController",
-    "Observation",
     "PIDFlowController",
     "RuntimeConfig",
     "RuntimeEngine",

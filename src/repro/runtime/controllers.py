@@ -15,15 +15,17 @@ the decision-making side of that loop:
   when the thermal (or net-power) constraint is violated, activity is
   scaled down with hysteresis until the system recovers.
 
-Controllers are deliberately stateful-but-small: ``reset()`` restores the
-initial state so one instance can run many traces, and every command is
-computed from the previous step's :class:`Observation` — the engine never
-lets a controller peek at the future.
+Those three classes are parameter records: validated gains, limits and
+thresholds, with no state of their own. The control law lives once, in
+the lane arrays :class:`VectorFlowControllers` and
+:class:`VectorThrottleGovernors` the runtime engine builds from them — a
+single scenario is a batch of one lane. Every command is computed from
+the previous step's outcome; the engine never lets a controller peek at
+the future.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,32 +39,16 @@ from repro.errors import ConfigurationError
 TEMPERATURE_LIMIT_C = DEFAULT_TEMPERATURE_LIMIT_C
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What a controller is allowed to see: the previous step's outcome."""
-
-    time_s: float
-    peak_temperature_c: float
-    flow_ml_min: float
-    utilization: float
-    activity_scale: float
-    generated_w: float
-    pumping_w: float
-    net_w: float
-
-
 class FlowController:
-    """Interface: map the previous observation to the next flow command."""
+    """Base class of the flow policies the runtime engine can run.
+
+    The engine supports exactly :class:`FixedFlow` and
+    :class:`PIDFlowController`; any other subclass is rejected when the
+    lanes are built rather than silently run as something else.
+    """
 
     #: Flow commanded before the first observation exists [ml/min].
     initial_flow_ml_min: float
-
-    def reset(self) -> None:
-        """Restore the initial state (no-op for stateless controllers)."""
-
-    def flow_command(self, observation: Observation, dt_s: float) -> float:
-        """Total-flow command [ml/min] for the next step."""
-        raise NotImplementedError
 
 
 class FixedFlow(FlowController):
@@ -75,9 +61,6 @@ class FixedFlow(FlowController):
             )
         self.initial_flow_ml_min = float(flow_ml_min)
 
-    def flow_command(self, observation: Observation, dt_s: float) -> float:
-        return self.initial_flow_ml_min
-
 
 class PIDFlowController(FlowController):
     """PID on peak junction temperature, actuating total flow.
@@ -86,7 +69,8 @@ class PIDFlowController(FlowController):
     one lowers it toward ``min_flow_ml_min``, shedding pumping power. The
     integral term uses conditional anti-windup — it freezes whenever the
     command is clamped and integrating would push it further into the
-    clamp — so recovery after a burst is not delayed by a wound-up term.
+    clamp — so recovery after a burst is not delayed by a wound-up term
+    (see :meth:`VectorFlowControllers.flow_commands`).
 
     Parameters
     ----------
@@ -132,44 +116,17 @@ class PIDFlowController(FlowController):
         self.min_flow_ml_min = float(min_flow_ml_min)
         self.max_flow_ml_min = float(max_flow_ml_min)
         self.initial_flow_ml_min = float(initial_flow_ml_min)
-        self.reset()
-
-    def reset(self) -> None:
-        self._integral_k_s = 0.0
-        self._previous_error_k: "float | None" = None
-
-    def flow_command(self, observation: Observation, dt_s: float) -> float:
-        if dt_s <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {dt_s}")
-        error = observation.peak_temperature_c - self.target_peak_c
-        derivative = 0.0
-        if self._previous_error_k is not None and self.kd > 0.0:
-            derivative = (error - self._previous_error_k) / dt_s
-        self._previous_error_k = error
-
-        candidate_integral = self._integral_k_s + error * dt_s
-        raw = (
-            self.initial_flow_ml_min
-            + self.kp * error
-            + self.ki * candidate_integral
-            + self.kd * derivative
-        )
-        clamped = min(self.max_flow_ml_min, max(self.min_flow_ml_min, raw))
-        # Conditional anti-windup: accept the integral update only when the
-        # command is unclamped, or when the update pulls back inside.
-        if raw == clamped or (raw > clamped) != (error > 0.0):
-            self._integral_k_s = candidate_integral
-        return clamped
 
 
 class ThrottleGovernor:
     """Hysteresis DVFS-style activity throttle.
 
-    Watches the previous observation and scales commanded activity by
+    Watches the previous step's outcome and scales commanded activity by
     ``throttle_scale`` whenever the thermal limit (or, optionally, a
     minimum net-power floor) is violated; the throttle releases only when
     the peak falls below ``release_peak_c``, so the governor never
-    chatters around the trip point.
+    chatters around the trip point (see
+    :meth:`VectorThrottleGovernors.scale_commands`).
 
     Parameters
     ----------
@@ -204,49 +161,25 @@ class ThrottleGovernor:
         self.release_peak_c = float(release_peak_c)
         self.throttle_scale = float(throttle_scale)
         self.min_net_w = None if min_net_w is None else float(min_net_w)
-        self.reset()
-
-    def reset(self) -> None:
-        self._throttled = False
-
-    @property
-    def throttled(self) -> bool:
-        """Whether the governor is currently limiting activity."""
-        return self._throttled
-
-    def scale_command(self, observation: Observation) -> float:
-        """Activity multiplier for the next step, updating the hysteresis."""
-        tripped = observation.peak_temperature_c >= self.trip_peak_c or (
-            self.min_net_w is not None and observation.net_w < self.min_net_w
-        )
-        if tripped:
-            self._throttled = True
-        elif (
-            self._throttled
-            and observation.peak_temperature_c < self.release_peak_c
-            and (self.min_net_w is None or observation.net_w >= self.min_net_w)
-        ):
-            self._throttled = False
-        return self.throttle_scale if self._throttled else 1.0
 
 
 class VectorFlowControllers:
-    """Lane-array mirror of a batch of flow controllers.
+    """The flow-control law for a batch of controller lanes.
 
     Packs the gains, actuator limits and integrator state of many
-    :class:`FixedFlow` / :class:`PIDFlowController` instances into numpy
-    lane arrays so a batched runtime engine can command every scenario's
-    flow in one vectorized update per control interval.
-
-    The update is the scalar :meth:`PIDFlowController.flow_command`
-    arithmetic, expression for expression (same term order, same
-    conditional anti-windup predicate), so each lane's command stream is
-    bit-identical to running its scalar controller alone — the property
-    the batched/scalar equivalence tests pin, and a hard requirement
+    :class:`FixedFlow` / :class:`PIDFlowController` records into numpy
+    lane arrays, so the runtime engine commands every lane's flow in one
+    vectorized update per control interval; a single scenario is one
+    lane. No lane reads another lane's state, so a lane's command stream
+    does not depend on which batch it runs in — a hard requirement,
     because commands pass through flow quantization, where an ulp decides
     which thermal model a lane runs on. Fixed-flow lanes bypass the PID
-    expression entirely (``initial`` is returned verbatim), matching the
-    scalar class even for non-finite observations.
+    expression entirely (``initial`` is returned verbatim), even for
+    non-finite observations.
+
+    Any other :class:`FlowController` subclass raises
+    :class:`~repro.errors.ConfigurationError`: the lane arrays can only
+    express these two laws.
     """
 
     def __init__(self, controllers: "Sequence[FlowController]") -> None:
@@ -262,14 +195,17 @@ class VectorFlowControllers:
                     controller.min_flow_ml_min, controller.max_flow_ml_min,
                     controller.initial_flow_ml_min,
                 ))
-            else:
-                # Any controller that ignores the observation (FixedFlow
-                # and custom constant policies) reduces to its initial
-                # command on every lane update.
+            elif isinstance(controller, FixedFlow):
                 initial = controller.initial_flow_ml_min
                 lanes.append((
                     True, 0.0, 0.0, 0.0, 0.0, initial, initial, initial
                 ))
+            else:
+                raise ConfigurationError(
+                    f"unsupported flow controller "
+                    f"{type(controller).__name__}; expected FixedFlow or "
+                    "PIDFlowController"
+                )
         columns = list(zip(*lanes))
         self._fixed = np.array(columns[0], dtype=bool)
         (
@@ -316,6 +252,8 @@ class VectorFlowControllers:
             + self._kds * derivatives
         )
         clamped = np.minimum(self._max_flows, np.maximum(self._min_flows, raw))
+        # Conditional anti-windup: accept the integral update only when the
+        # command is unclamped, or when the update pulls back inside.
         accept = (raw == clamped) | ((raw > clamped) != (errors > 0.0))
         self._integrals_k_s = np.where(
             accept, candidates, self._integrals_k_s
@@ -324,12 +262,11 @@ class VectorFlowControllers:
 
 
 class VectorThrottleGovernors:
-    """Lane-array mirror of a batch of (optional) throttle governors.
+    """The hysteresis throttle law for a batch of (optional) governors.
 
     Lanes without a governor are encoded with a ``+inf`` trip temperature
-    and no net-power floor, so they can never throttle — exactly the
-    scalar engine's behaviour for ``governor=None`` — and the whole batch
-    updates with one vectorized pass of the scalar hysteresis predicate.
+    and no net-power floor, so they can never throttle, and the whole
+    batch updates with one vectorized pass of the hysteresis predicate.
     """
 
     def __init__(
@@ -357,9 +294,6 @@ class VectorThrottleGovernors:
         ) = (np.array(column, dtype=float) for column in zip(*lanes))
         self.reset()
 
-    def __len__(self) -> int:
-        return self._trips_c.size
-
     @property
     def throttled(self) -> np.ndarray:
         """Per-lane boolean: which lanes are currently throttling."""
@@ -374,9 +308,9 @@ class VectorThrottleGovernors:
     ) -> np.ndarray:
         """Per-lane activity multipliers, updating the hysteresis state.
 
-        A nan net-power floor means "no floor" (the scalar ``None``): nan
-        comparisons are false, so such lanes trip and release on
-        temperature alone, exactly like the scalar predicate.
+        A nan net-power floor means "no floor" (a ``None`` ``min_net_w``):
+        nan comparisons are false, so such lanes trip and release on
+        temperature alone.
         """
         has_floor = ~np.isnan(self._min_nets_w)
         tripped = (peak_temperatures_c >= self._trips_c) | (

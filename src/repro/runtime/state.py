@@ -10,9 +10,14 @@ cells themselves are fine.
 
 :class:`ElectrolyteState` wraps a
 :class:`~repro.flowcell.recirculation.RecirculationLoop` with the
-clamped-draw semantics a time stepper needs: a step that would pull the
-system below the usable SOC floor delivers only the remaining charge and
-marks the state depleted (generation stops), instead of raising mid-run.
+usable SOC floor and a depletion flag. The draw itself lives once, in
+:class:`ElectrolyteStateArray` — the runtime engine's per-lane tanks,
+with the clamped-draw semantics a time stepper needs: a step that would
+pull the system below the usable SOC floor delivers only the remaining
+charge and marks the lane depleted (generation stops), instead of
+raising mid-run. At the end of a run the engine writes each lane's final
+tanks and flag back into its :class:`ElectrolyteState`, so back-to-back
+runs draw down the same tanks.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ def build_case_study_loop(volume_m3: float = 5e-4) -> RecirculationLoop:
 
 class ElectrolyteState:
     """Reservoir state-of-charge tracked along a runtime trace.
+
+    A record of the tanks and the depletion flag between runs; while a
+    run is in flight, :class:`ElectrolyteStateArray` steps a copy and
+    stores the result back at the end.
 
     Parameters
     ----------
@@ -92,66 +101,21 @@ class ElectrolyteState:
         used = self.initial_soc - self.state_of_charge
         return min(1.0, max(0.0, used / window))
 
-    def usable_charge_c(self) -> float:
-        """Charge deliverable before the SOC floor is reached [C]."""
-        usable = float("inf")
-        for tank in (self.loop.anolyte_tank, self.loop.catholyte_tank):
-            total = tank.conc_ox + tank.conc_red
-            margin = max(0.0, tank.state_of_charge - self.min_soc)
-            n_f_v = tank.electrolyte.couple.electrons * FARADAY * tank.volume_m3
-            usable = min(usable, margin * total * n_f_v)
-        return usable
-
-    def step(self, current_a: float, dt_s: float) -> float:
-        """Advance by one step at a discharge current; returns the
-        current actually sustained [A].
-
-        A step that would cross the SOC floor delivers only the usable
-        remainder and marks the state depleted; once depleted, the
-        sustained current is zero.
-        """
-        if dt_s <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {dt_s}")
-        if current_a < 0.0:
-            raise ConfigurationError(
-                f"discharge current must be >= 0, got {current_a}"
-            )
-        if self._depleted or current_a == 0.0:
-            return 0.0
-        requested_c = current_a * dt_s
-        usable_c = self.usable_charge_c()
-        # usable_charge_c derives from the SOC *ratio*, so at a zero SOC
-        # floor round-off can leave it an ulp above what the tanks can
-        # exactly supply — a draw the reservoirs would refuse after the
-        # first tank already converted species. Cap the draw a whisker
-        # below the exact remainder so the terminal step always lands
-        # inside both tanks.
-        exact_supply_c = (1.0 - 1e-12) * self.loop.deliverable_charge_c
-        drawn_c = min(requested_c, usable_c, exact_supply_c)
-        if drawn_c > 0.0:
-            self.loop.step(drawn_c / dt_s, dt_s)
-        if requested_c >= usable_c:
-            self._depleted = True
-        return drawn_c / dt_s
-
 
 class ElectrolyteStateArray:
     """Reservoir state-of-charge for many runtime lanes, as arrays.
 
     Snapshots a batch of (optional) :class:`ElectrolyteState` lanes into
     per-tank concentration arrays and advances them all with one
-    vectorized pass of the scalar :meth:`ElectrolyteState.step`
-    arithmetic per control interval. Every expression — the usable-charge
-    margin, the ``(1 - 1e-12)`` exact-supply cap (the PR 5 ulp fix, in
-    array form), the drawn-current round trip through the loop's
-    ``charge = current * dt`` — keeps the scalar's operation order, so
-    lane trajectories are bit-identical to stepping each scalar state
-    alone, depletion flags included.
+    vectorized pass per control interval; a single reservoir is a batch
+    of one lane. Every update is elementwise over the lane axis, so a
+    lane's trajectory does not depend on the batch it runs in, depletion
+    flags included.
 
     Lanes passed as ``None`` have no reservoir: their current passes
-    through unchanged and their SOC reads nan, matching the scalar
-    engine's ``reservoir=None`` behaviour. The scalar states are only
-    read at construction; afterwards the arrays are the source of truth.
+    through unchanged and their SOC reads nan. The states are only read
+    at construction; afterwards the arrays are the source of truth until
+    :meth:`write_back` stores them into the states again.
     """
 
     #: Tank axis order: anolyte (fuel side), catholyte (oxidant side).
@@ -160,6 +124,7 @@ class ElectrolyteStateArray:
     def __init__(self, states: "Sequence[ElectrolyteState | None]") -> None:
         if not states:
             raise ConfigurationError("need at least one reservoir lane")
+        self._states = list(states)
         self._has_reservoir = np.array(
             [state is not None for state in states], dtype=bool
         )
@@ -190,18 +155,22 @@ class ElectrolyteStateArray:
                 )
                 self._volumes_m3[t, lane] = tank.volume_m3
 
-    def __len__(self) -> int:
-        return self._min_socs.size
-
-    @property
-    def has_reservoir(self) -> np.ndarray:
-        """Per-lane boolean: which lanes track a reservoir at all."""
-        return self._has_reservoir.copy()
-
     @property
     def depleted(self) -> np.ndarray:
         """Per-lane boolean: which lanes exhausted their SOC window."""
         return self._depleted.copy()
+
+    def write_back(self) -> None:
+        """Store every reservoir lane's tanks and depletion flag into the
+        :class:`ElectrolyteState` it was built from."""
+        for lane, state in enumerate(self._states):
+            if state is None:
+                continue
+            state._depleted = bool(self._depleted[lane])
+            for t, name in enumerate(self._TANKS):
+                getattr(state.loop, name).set_concentrations(
+                    self._conc_ox[t, lane], self._conc_red[t, lane]
+                )
 
     def _tank_socs(self) -> np.ndarray:
         """(n_tanks, n_lanes) charged-species fractions."""
@@ -240,13 +209,17 @@ class ElectrolyteStateArray:
         deliverable_c = (
             self._electrons_f * charged * self._volumes_m3
         ).min(axis=0)
+        # usable_c derives from the SOC *ratio*, so at a zero SOC floor
+        # round-off can leave it an ulp above what the tanks can exactly
+        # supply. Cap the draw a whisker below the exact remainder so the
+        # terminal step always lands inside both tanks.
         exact_supply_c = (1.0 - 1e-12) * deliverable_c
         drawn_c = np.minimum(
             np.minimum(requested_c, usable_c), exact_supply_c
         )
-        # The scalar path hands the loop a *current* and the loop turns
-        # it back into a charge; replay that round trip so the terminal
-        # draw rounds identically.
+        # Draw the charge of the *reported* current (``drawn_a * dt``, as
+        # ``RecirculationLoop.step`` converts a current), so the sustained
+        # current and the tank draw never disagree by a rounding.
         drawn_a = drawn_c / dt_s
         charges_c = drawn_a * dt_s
         apply = active & (drawn_c > 0.0)

@@ -16,8 +16,8 @@ the hand-rolled loops they replaced:
   (bench A14); settling time and current swing of the step.
 - ``workload`` — named workload scenario thermal state (bench A8).
 - ``runtime`` — closed-loop execution of a named workload trace through
-  :class:`~repro.runtime.engine.RuntimeEngine` (bench A16); energy,
-  thermal and throttling KPIs of the whole trajectory.
+  the runtime engine (bench A16); energy, thermal and throttling KPIs of
+  the whole trajectory.
 - ``fleet_chip`` — one fleet chip at one quantized (flow, utilization)
   point: the cell of the fleet layer's operating-state table (bench A18).
 - ``fleet`` — a whole shared-supply fleet rolled through its traffic
@@ -26,7 +26,10 @@ the hand-rolled loops they replaced:
 
 The ``cosim`` and ``transient`` evaluators share the process-wide
 :class:`~repro.cosim.surface.PolarizationSurface` store, so sweeps that
-revisit a flow rate never rebuild a polarization curve.
+revisit a flow rate never rebuild a polarization curve. The dynamic
+evaluators (``transient``, ``runtime``) have no code of their own: each
+runs its batch kernel from :mod:`repro.sweep.vectorized` on a batch of
+one spec.
 
 The electrochemical models in ``operating_point``, ``geometry`` and ``vrm``
 are isothermal at the 300 K reference, as in the benches they mirror;
@@ -363,32 +366,36 @@ def evaluate_cosim(spec: ScenarioSpec) -> "dict[str, float]":
     }
 
 
-def transient_cosim_config(spec: ScenarioSpec):
-    """The ``transient`` evaluator's co-sim configuration for one spec.
+def step_response_case(spec: ScenarioSpec):
+    """The ``transient`` evaluator's step-response case for one spec.
 
     The single definition of how a scenario maps onto a
-    :class:`~repro.cosim.coupling.CosimConfig`, shared with the vectorized
-    backend's batch kernel so both paths query the same shared
-    polarization surface and thermal family.
+    :class:`~repro.cosim.batch.StepResponseCase` (co-sim configuration,
+    utilization step, horizon and sampling step).
     """
-    from repro.cosim import CosimConfig
+    from repro.cosim import CosimConfig, StepResponseCase
 
-    return CosimConfig(
-        total_flow_ml_min=spec.total_flow_ml_min,
-        inlet_temperature_k=spec.inlet_temperature_k,
-        operating_voltage_v=spec.operating_voltage_v,
-        nx=spec.nx,
-        ny=spec.ny,
-        n_channel_groups=11,
+    return StepResponseCase(
+        config=CosimConfig(
+            total_flow_ml_min=spec.total_flow_ml_min,
+            inlet_temperature_k=spec.inlet_temperature_k,
+            operating_voltage_v=spec.operating_voltage_v,
+            nx=spec.nx,
+            ny=spec.ny,
+            n_channel_groups=11,
+        ),
+        utilization_before=spec.utilization_before,
+        utilization_after=spec.utilization,
+        duration_s=spec.step_duration_s,
+        dt_s=spec.step_dt_s,
     )
 
 
 def transient_metrics(samples) -> "dict[str, float]":
     """Reduce one step-response trajectory to the ``transient`` metrics.
 
-    Shared between :func:`evaluate_transient` and the vectorized batch
-    kernel, so the two paths apply the identical trajectory reduction
-    (swings, settling detection) to whatever samples they produced.
+    Swings of the peak temperature and array current across the step,
+    plus the settling time of the peak.
     """
     from repro.cosim import TransientCosim
 
@@ -415,27 +422,18 @@ def evaluate_transient(spec: ScenarioSpec) -> "dict[str, float]":
     inlet temperatures or step sizes at one flow rate builds each curve
     only once per worker process.
     """
-    from repro.cosim import TransientCosim
+    from repro.sweep.vectorized import batch_transient
 
-    cosim = TransientCosim(transient_cosim_config(spec))
-    samples = cosim.run_step_response(
-        spec.utilization_before,
-        spec.utilization,
-        duration_s=spec.step_duration_s,
-        dt_s=spec.step_dt_s,
-    )
-    return transient_metrics(samples)
+    return batch_transient([spec])[0]
 
 
 def runtime_scenario_parts(spec: ScenarioSpec):
     """``(trace, controller, governor, reservoir, config)`` of one
     runtime scenario.
 
-    The single definition of how a spec wires up the closed loop, shared
-    between :func:`evaluate_runtime` (which runs one scalar engine) and
-    the vectorized backend's batch kernel (which mounts the same parts as
-    lanes of a :class:`~repro.runtime.engine.BatchedRuntimeEngine`), so
-    the two paths cannot disagree about gains, governors or reservoirs.
+    The single definition of how a spec wires up the closed loop; the
+    ``runtime`` batch kernel mounts these parts as lanes of a
+    :class:`~repro.runtime.engine.BatchedRuntimeEngine`.
     """
     from repro.runtime import (
         ElectrolyteState,
@@ -479,15 +477,9 @@ def evaluate_runtime(spec: ScenarioSpec) -> "dict[str, float]":
     case-study electrolyte reservoirs, so the KPIs include throttling
     and state-of-charge alongside the energy balance.
     """
-    from repro.runtime import RuntimeEngine
+    from repro.sweep.vectorized import batch_runtime
 
-    trace, controller, governor, reservoir, config = runtime_scenario_parts(
-        spec
-    )
-    engine = RuntimeEngine(
-        controller, governor=governor, reservoir=reservoir, config=config
-    )
-    return engine.run(trace).kpis()
+    return batch_runtime([spec])[0]
 
 
 @register_evaluator("fleet_chip")

@@ -30,15 +30,19 @@ by those shared pieces (``operating_point``, ``geometry``, ``vrm``,
   arrays, and lanes commanding the same quantized flow share one
   multi-column thermal step per control interval.
 
+The two dynamic kernels are also the dynamic evaluators' only code: the
+``transient`` and ``runtime`` evaluators call them on a batch of one.
+
 Other evaluators fall back to the scalar path inside
 :class:`~repro.sweep.backends.VectorizedBackend`.
 
 Equivalence contract: batched metrics match the scalar evaluators within
 ``EQUIVALENCE_RTOL`` (dominated by the anchored GMRES residual, orders of
 magnitude tighter in practice); the dynamic kernels are stricter still —
-bit-identical to the scalar trajectories, because their floats feed
-discontinuous decisions (flow quantization, governor hysteresis,
-settling-band exits) where closeness would not survive.
+a scenario's metrics are bit-identical whatever batch it rides in,
+because their floats feed discontinuous decisions (flow quantization,
+governor hysteresis, settling-band exits) where closeness would not
+survive.
 ``tests/sweep/test_backends.py`` pins it for every preset.
 """
 
@@ -53,7 +57,7 @@ from repro.sweep.evaluators import (
     geometry_metrics,
     operating_point_metrics,
     runtime_scenario_parts,
-    transient_cosim_config,
+    step_response_case,
     transient_metrics,
     vrm_metrics,
     workload_metrics,
@@ -328,25 +332,15 @@ def batch_transient(
     """Batched ``transient``: step responses marched in lockstep.
 
     Scenarios map onto :class:`repro.cosim.batch.StepResponseCase` via
-    the scalar evaluator's own config helper, march together through
+    ``step_response_case``, march together through
     :func:`repro.cosim.batch.batched_step_responses` (shared models,
-    stacked state columns, the exact scalar factorizations), and reduce
-    through the scalar ``transient_metrics`` — so the kernel's results
-    are bit-identical to the serial path, settling times included.
+    stacked state columns), and reduce through ``transient_metrics``.
     """
-    from repro.cosim.batch import StepResponseCase, batched_step_responses
+    from repro.cosim.batch import batched_step_responses
 
-    cases = [
-        StepResponseCase(
-            config=transient_cosim_config(spec),
-            utilization_before=spec.utilization_before,
-            utilization_after=spec.utilization,
-            duration_s=spec.step_duration_s,
-            dt_s=spec.step_dt_s,
-        )
-        for spec in specs
-    ]
-    trajectories = batched_step_responses(cases)
+    trajectories = batched_step_responses(
+        [step_response_case(spec) for spec in specs]
+    )
     return [transient_metrics(samples) for samples in trajectories]
 
 
@@ -358,11 +352,9 @@ def batch_runtime(
     Scenarios sharing ``(trace, seed, inlet, raster, voltage, pump
     efficiency)`` advance through every control interval together as
     lanes of a :class:`~repro.runtime.engine.BatchedRuntimeEngine`: the
-    loop is wired from the scalar evaluator's own
-    ``runtime_scenario_parts``, controller/governor/SOC state updates as
-    lane arrays, and lanes at the same quantized flow share one
-    multi-column backward-Euler solve per step — while each lane's KPI
-    trajectory stays bit-identical to its scalar engine.
+    loop is wired by ``runtime_scenario_parts``, controller/governor/SOC
+    state updates as lane arrays, and lanes at the same quantized flow
+    share one multi-column backward-Euler solve per step.
     """
     from repro.runtime.engine import BatchedRuntimeEngine
 

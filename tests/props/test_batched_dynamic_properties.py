@@ -1,22 +1,29 @@
-"""Property-based invariants of the batched dynamic kernels (PR 8).
+"""Property-based invariants of the batched dynamic kernels.
 
-The batched transient/runtime path promises *structural* equivalence
-with the scalar engines, not just agreement at the preset grid points:
+The transient and runtime layers have one implementation each — the
+batched one — and a single scenario runs as a batch of one. Their
+promise is that batching is invisible, not just approximately so:
 
-- a batched step response matches the scalar trajectory for arbitrary
-  valid (utilization, duration, dt) cases — thermal samples bit-exact,
-  currents to polarization-march round-off;
+- a batch of N step responses is bit-identical, case by case, to N
+  batches of one (``TransientCosim.run_step_response``) for arbitrary
+  valid (utilization, duration, dt) cases, currents included;
 - the vector controller/governor updates are permutation-equivariant
   over the scenario axis (no lane reads another lane's state);
 - the array-form reservoir never draws past the exact tank supply and
-  never produces a negative concentration — the array regression for the
-  scalar ulp guard (``exact_supply = (1 - 1e-12) * deliverable``).
+  never produces a negative concentration (the ulp guard
+  ``exact_supply = (1 - 1e-12) * deliverable``), and an N-lane array is
+  bit-identical, lane by lane, to N one-lane arrays.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cosim import CosimConfig, StepResponseCase, TransientCosim
+from repro.cosim import (
+    CosimConfig,
+    PolarizationSurface,
+    StepResponseCase,
+    TransientCosim,
+)
 from repro.cosim.batch import batched_step_responses
 from repro.runtime.controllers import (
     FixedFlow,
@@ -42,18 +49,20 @@ class TestBatchedStepResponseProperties:
     @given(
         flow=FLOWS,
         inlet=INLETS,
-        u_before=UTILIZATIONS,
-        u_after=UTILIZATIONS,
+        utilizations=st.lists(
+            st.tuples(UTILIZATIONS, UTILIZATIONS), min_size=1, max_size=3
+        ),
         n_steps=st.integers(1, 6),
         dt_s=st.floats(0.02, 0.1),
         partial=st.booleans(),
     )
-    def test_batched_matches_scalar_for_arbitrary_cases(
-        self, flow, inlet, u_before, u_after, n_steps, dt_s, partial
+    def test_batched_matches_one_case_runs_for_arbitrary_cases(
+        self, flow, inlet, utilizations, n_steps, dt_s, partial
     ):
-        """One batched column reproduces the scalar stepper's trajectory:
-        identical sample times, bit-identical thermal samples, currents
-        within the batched polarization march's round-off."""
+        """A lockstep batch reproduces every case's one-case run bit for
+        bit: sample times, thermal samples and currents. Each run starts
+        with cold polarization surfaces, so the node curves are marched
+        from different batches of temperatures each time."""
         duration_s = n_steps * dt_s + (0.4 * dt_s if partial else 0.0)
         config = CosimConfig(
             total_flow_ml_min=flow,
@@ -62,25 +71,27 @@ class TestBatchedStepResponseProperties:
             ny=11,
             n_channel_groups=11,
         )
-        case = StepResponseCase(
-            config=config,
-            utilization_before=u_before,
-            utilization_after=u_after,
-            duration_s=duration_s,
-            dt_s=dt_s,
-        )
-        batched = batched_step_responses([case])[0]
-        scalar = TransientCosim(config).run_step_response(
-            u_before, u_after, duration_s=duration_s, dt_s=dt_s
-        )
-        assert len(batched) == len(scalar)
-        for got, ref in zip(batched, scalar):
-            assert got.time_s == ref.time_s
-            assert got.peak_temperature_c == ref.peak_temperature_c
-            assert got.mean_coolant_c == ref.mean_coolant_c
-            np.testing.assert_allclose(
-                got.array_current_a, ref.array_current_a, rtol=1e-9
+        cases = [
+            StepResponseCase(
+                config=config,
+                utilization_before=u_before,
+                utilization_after=u_after,
+                duration_s=duration_s,
+                dt_s=dt_s,
             )
+            for u_before, u_after in utilizations
+        ]
+        PolarizationSurface.clear_shared()
+        batched = batched_step_responses(cases)
+        for case, trajectory in zip(cases, batched):
+            PolarizationSurface.clear_shared()
+            alone = TransientCosim(config).run_step_response(
+                case.utilization_before,
+                case.utilization_after,
+                duration_s=duration_s,
+                dt_s=dt_s,
+            )
+            assert trajectory == alone
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -255,23 +266,34 @@ class TestElectrolyteStateArrayProperties:
         dt=st.floats(0.1, 2.0),
         min_soc=st.floats(0.0, 0.5),
     )
-    def test_array_matches_scalar_lane_for_lane(
+    def test_array_matches_one_lane_arrays_lane_for_lane(
         self, requested, dt, min_soc
     ):
-        """Each array lane reproduces its scalar twin exactly through a
-        drain-to-depletion sequence (same drawn currents, same SOC, same
-        depletion step). The microlitre tanks hold a few coulombs, so
-        the >= 0.1 C/step draws always deplete within the loop bound."""
-        scalar = ElectrolyteState(loop=tiny_loop(), min_soc=min_soc)
-        array = ElectrolyteStateArray(
-            [ElectrolyteState(loop=tiny_loop(), min_soc=min_soc)]
-        )
+        """Each lane of a mixed batch reproduces its one-lane array
+        exactly through a drain-to-depletion sequence (same drawn
+        currents, same SOC, same depletion step), next to lanes with a
+        different floor, a different draw and no reservoir at all. The
+        microlitre tanks hold a few coulombs, so the >= 0.1 C/step draws
+        always deplete within the loop bound."""
+        floors = (min_soc, 0.5 * min_soc, None)
+        draws = np.array([requested, 2.0 * requested, requested])
+
+        def lane_state(floor):
+            if floor is None:
+                return None
+            return ElectrolyteState(loop=tiny_loop(), min_soc=floor)
+
+        batch = ElectrolyteStateArray([lane_state(f) for f in floors])
+        alone = [ElectrolyteStateArray([lane_state(f)]) for f in floors]
         for _ in range(200):
-            ref = scalar.step(requested, dt)
-            got = array.step(np.asarray([requested]), dt)
-            assert float(got[0]) == ref
-            assert float(array.state_of_charge[0]) == scalar.state_of_charge
-            assert bool(array.depleted[0]) == scalar.depleted
-            if scalar.depleted:
+            got = batch.step(draws, dt)
+            for lane, single in enumerate(alone):
+                ref = single.step(draws[lane:lane + 1], dt)
+                assert got[lane] == ref[0]
+                np.testing.assert_array_equal(
+                    batch.state_of_charge[lane], single.state_of_charge[0]
+                )
+                assert batch.depleted[lane] == single.depleted[0]
+            if batch.depleted[0]:
                 break
-        assert scalar.depleted
+        assert batch.depleted[0]

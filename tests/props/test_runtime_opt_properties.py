@@ -8,35 +8,27 @@ exercise only at a handful of points:
 - the throttle governor's hysteresis band,
 - Pareto-front extraction (mutual non-domination, permutation
   invariance).
+
+The runtime laws live only in their lane arrays, so the runtime
+properties drive one reservoir, controller or governor as a batch of one
+lane.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.flowcell.recirculation import ElectrolyteReservoir, RecirculationLoop
 from repro.opt.objective import Objective
 from repro.opt.pareto import dominates, objective_vector, pareto_front
 from repro.runtime.controllers import (
-    Observation,
     PIDFlowController,
     ThrottleGovernor,
+    VectorFlowControllers,
+    VectorThrottleGovernors,
 )
-from repro.runtime.state import ElectrolyteState
+from repro.runtime.state import ElectrolyteState, ElectrolyteStateArray
 from repro.sweep.runner import SweepResult
 from repro.sweep.spec import ScenarioSpec
-
-
-def observation(peak_temperature_c: float) -> Observation:
-    """An observation whose only controller-relevant field is the peak."""
-    return Observation(
-        time_s=0.0,
-        peak_temperature_c=peak_temperature_c,
-        flow_ml_min=676.0,
-        utilization=1.0,
-        activity_scale=1.0,
-        generated_w=6.0,
-        pumping_w=4.4,
-        net_w=1.6,
-    )
 
 
 def tiny_loop() -> RecirculationLoop:
@@ -49,6 +41,24 @@ def tiny_loop() -> RecirculationLoop:
         catholyte_tank=ElectrolyteReservoir(
             spec.catholyte, 2e-8, is_fuel=False
         ),
+    )
+
+
+def draw(state: ElectrolyteState, current_a: float, dt_s: float) -> float:
+    """One step of a single reservoir as a batch of one lane."""
+    lanes = ElectrolyteStateArray([state])
+    sustained = float(lanes.step(np.array([current_a]), dt_s)[0])
+    lanes.write_back()
+    return sustained
+
+
+def command(lanes: VectorFlowControllers, peak_c: float, dt_s: float) -> float:
+    return float(lanes.flow_commands(np.array([peak_c]), dt_s)[0])
+
+
+def scale(governors: VectorThrottleGovernors, peak_c: float) -> float:
+    return float(
+        governors.scale_commands(np.array([peak_c]), np.array([1.6]))[0]
     )
 
 
@@ -72,7 +82,7 @@ class TestElectrolyteStateProperties:
         previous_soc = state.state_of_charge
         assert 0.0 <= previous_soc <= 1.0
         for requested, dt in draws:
-            sustained = state.step(requested, dt)
+            sustained = draw(state, requested, dt)
             assert 0.0 <= sustained <= requested + 1e-12
             soc = state.state_of_charge
             assert 0.0 <= soc <= 1.0
@@ -80,7 +90,7 @@ class TestElectrolyteStateProperties:
             assert 0.0 <= state.fuel_utilization <= 1.0
             if state.depleted:
                 # Depletion latches: all further draws sustain zero.
-                assert state.step(requested, dt) == 0.0
+                assert draw(state, requested, dt) == 0.0
             previous_soc = soc
 
     @settings(max_examples=25, deadline=None)
@@ -96,7 +106,7 @@ class TestElectrolyteStateProperties:
         """
         state = ElectrolyteState(loop=tiny_loop(), min_soc=0.1)
         for _ in range(200):
-            state.step(current, dt)
+            draw(state, current, dt)
             if state.depleted:
                 break
         assert state.depleted
@@ -122,17 +132,18 @@ class TestPIDAntiWindupProperties:
         integration step of the worst error seen.
         """
         controller = PIDFlowController(kp=kp, ki=ki)
+        lanes = VectorFlowControllers([controller])
         lo, hi = controller.min_flow_ml_min, controller.max_flow_ml_min
         worst_error = 0.0
         for peak in peaks:
-            command = controller.flow_command(observation(peak), dt)
-            assert lo <= command <= hi
+            flow = command(lanes, peak, dt)
+            assert lo <= flow <= hi
             worst_error = max(
                 worst_error, abs(peak - controller.target_peak_c)
             )
             stored = (
                 controller.initial_flow_ml_min
-                + ki * controller._integral_k_s
+                + ki * float(lanes._integrals_k_s[0])
             )
             pad = kp * worst_error + ki * worst_error * dt + 1e-9
             assert lo - pad <= stored <= hi + pad
@@ -147,10 +158,11 @@ class TestPIDAntiWindupProperties:
         cold observation immediately pulls the command off the clamp —
         the signature behaviour anti-windup exists for."""
         controller = PIDFlowController(kp=40.0, ki=60.0)
+        lanes = VectorFlowControllers([controller])
         for _ in range(hot_steps):
-            command = controller.flow_command(observation(hot_peak), 0.05)
-        assert command == controller.max_flow_ml_min
-        recovered = controller.flow_command(observation(20.0), 0.05)
+            flow = command(lanes, hot_peak, 0.05)
+        assert flow == controller.max_flow_ml_min
+        recovered = command(lanes, 20.0, 0.05)
         assert recovered < controller.max_flow_ml_min
 
 
@@ -169,15 +181,16 @@ class TestThrottleHysteresisProperties:
         state, whichever side it starts on — the definition of the
         hysteresis band."""
         governor = ThrottleGovernor(trip_peak_c=85.0, release_peak_c=80.0)
+        lanes = VectorThrottleGovernors([governor])
         if start_throttled:
-            governor.scale_command(observation(90.0))  # trip it first
-            assert governor.throttled
-        initial = governor.throttled
+            scale(lanes, 90.0)  # trip it first
+            assert lanes.throttled[0]
+        initial = bool(lanes.throttled[0])
         for peak in peaks:
-            scale = governor.scale_command(observation(peak))
-            assert governor.throttled == initial
+            multiplier = scale(lanes, peak)
+            assert bool(lanes.throttled[0]) == initial
             expected = governor.throttle_scale if initial else 1.0
-            assert scale == expected
+            assert multiplier == expected
 
     @settings(max_examples=40, deadline=None)
     @given(peaks=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=60))
@@ -185,15 +198,17 @@ class TestThrottleHysteresisProperties:
         """A trip requires peak >= trip point; a release requires peak <
         release point. No other transition exists."""
         governor = ThrottleGovernor(trip_peak_c=85.0, release_peak_c=80.0)
-        previous = governor.throttled
+        lanes = VectorThrottleGovernors([governor])
+        previous = bool(lanes.throttled[0])
         for peak in peaks:
-            governor.scale_command(observation(peak))
-            if governor.throttled != previous:
-                if governor.throttled:
+            scale(lanes, peak)
+            throttled = bool(lanes.throttled[0])
+            if throttled != previous:
+                if throttled:
                     assert peak >= governor.trip_peak_c
                 else:
                     assert peak < governor.release_peak_c
-            previous = governor.throttled
+            previous = throttled
 
 
 def results_from_vectors(vectors) -> "list[SweepResult]":

@@ -5,12 +5,16 @@ raster-insensitive, as in the transient co-sim tests) and short traces,
 so the whole module stays in test-suite time budgets.
 """
 
+import json
 import math
 
+import numpy as np
 import pytest
 
+from repro.cosim import PolarizationSurface
 from repro.errors import ConfigurationError
 from repro.runtime import (
+    BatchedRuntimeEngine,
     ElectrolyteState,
     FixedFlow,
     PIDFlowController,
@@ -72,13 +76,17 @@ class TestEngineTrajectory:
         assert flows == {676.0}
 
     def test_quantization_grid_is_anchored_at_the_initial_flow(self):
-        engine = RuntimeEngine(FixedFlow(676.0), config=config())
-        assert engine._quantize_flow(676.0) == 676.0
-        assert engine._quantize_flow(670.0) == 676.0   # nearest grid point
-        assert engine._quantize_flow(655.0) == 660.0   # 676 - 16
-        assert engine._quantize_flow(100.0) == 100.0   # 676 - 36*16
+        engine = BatchedRuntimeEngine([FixedFlow(676.0)], config=config())
+
+        def quantize(flow):
+            return float(engine._quantize_flows(np.array([flow]))[0])
+
+        assert quantize(676.0) == 676.0
+        assert quantize(670.0) == 676.0   # nearest grid point
+        assert quantize(655.0) == 660.0   # 676 - 16
+        assert quantize(100.0) == 100.0   # 676 - 36*16
         # Commands can never quantize to zero or below.
-        assert engine._quantize_flow(1.0) >= 16.0
+        assert quantize(1.0) >= 16.0
 
     def test_step_heats_the_chip(self, fixed_result):
         samples = fixed_result.samples
@@ -202,7 +210,73 @@ class TestReservoirCoupling:
         # reservoirs are spent.
         assert result.samples[-1].net_w < 0.0
 
+    def test_back_to_back_runs_draw_down_the_same_tanks(self):
+        """The run writes its final tanks back into the reservoir, so a
+        second run starts exactly where the first one ended."""
+        reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-5))
+        engine = RuntimeEngine(FixedFlow(676.0), reservoir=reservoir,
+                               config=config())
+        first = engine.run(short_step())
+        assert reservoir.state_of_charge == first.final_state_of_charge
+        second = RuntimeEngine(FixedFlow(676.0), reservoir=reservoir,
+                               config=config()).run(short_step())
+        # The first step of the second run draws from the first run's
+        # final SOC (one step's draw below it), not from a fresh tank.
+        fresh = RuntimeEngine(
+            FixedFlow(676.0),
+            reservoir=ElectrolyteState(build_case_study_loop(volume_m3=1e-5)),
+            config=config(),
+        ).run(short_step())
+        drop = (
+            fresh.samples[0].state_of_charge
+            - reservoir.initial_soc
+        )
+        assert second.samples[0].state_of_charge == pytest.approx(
+            first.final_state_of_charge + drop, rel=1e-9
+        )
+        assert second.final_state_of_charge < first.final_state_of_charge
+        assert reservoir.state_of_charge == second.final_state_of_charge
+
     def test_without_reservoir_soc_is_nan(self):
         engine = RuntimeEngine(FixedFlow(676.0), config=config())
         result = engine.run(short_step())
         assert math.isnan(result.final_state_of_charge)
+
+
+class TestBatchOfOne:
+    def test_batch_of_n_matches_n_batches_of_one(self):
+        """A lane's trajectory is bit-identical whether it runs in a
+        mixed batch or alone through :class:`RuntimeEngine` (a batch of
+        one): flows, temperatures, currents, SOC and throttle flags.
+        Both runs start with cold polarization surfaces."""
+        trace = step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=1.0)
+
+        def lanes():
+            return [
+                (FixedFlow(676.0), None, None),
+                (
+                    PIDFlowController(initial_flow_ml_min=300.0),
+                    ThrottleGovernor(trip_peak_c=36.0, release_peak_c=34.0,
+                                     throttle_scale=0.5),
+                    ElectrolyteState(build_case_study_loop(volume_m3=1e-8)),
+                ),
+                (
+                    PIDFlowController(kp=80.0, ki=0.0,
+                                      initial_flow_ml_min=676.0),
+                    ThrottleGovernor(),
+                    ElectrolyteState(build_case_study_loop(volume_m3=1e-5)),
+                ),
+            ]
+
+        controllers, governors, reservoirs = zip(*lanes())
+        PolarizationSurface.clear_shared()
+        batch = BatchedRuntimeEngine(
+            controllers, governors, reservoirs, config()
+        ).run(trace)
+        for (controller, governor, reservoir), result in zip(lanes(), batch):
+            PolarizationSurface.clear_shared()
+            alone = RuntimeEngine(
+                controller, governor, reservoir, config()
+            ).run(trace)
+            # Through JSON so nan SOCs (no reservoir) compare equal.
+            assert json.dumps(alone.records()) == json.dumps(result.records())

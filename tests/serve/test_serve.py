@@ -126,6 +126,20 @@ class TestEventStream:
         assert "peak_temperature_c" in result["kpis"]
         assert server.jobs_completed == 1
 
+    def test_runtime_csv_matches_the_cli_export(self, tmp_path):
+        """A served ``runtime`` job and ``repro runtime`` run the same
+        one-lane engine: the CSV text is byte-identical."""
+        from repro.cli import main
+
+        server = ResultServer(SweepRunner())
+        with BackgroundServer(server) as bg:
+            result = ServeClient(port=bg.port).submit(
+                "runtime", trace="step"
+            ).require()
+        path = tmp_path / "runtime.csv"
+        assert main(["runtime", "--trace", "step", "--csv", str(path)]) == 0
+        assert result["csv"].encode() == path.read_bytes()
+
     def test_joboutcome_require_without_events(self):
         with pytest.raises(ConfigurationError):
             JobOutcome().require()

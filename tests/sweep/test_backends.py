@@ -7,8 +7,11 @@ produce the same result set:
 - serial vs process: bit-identical (same pure evaluator functions, only
   the scheduling differs);
 - serial vs vectorized: within the documented
-  :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (evaluators with a
-  batch kernel) or bit-identical (evaluators that fall back to serial).
+  :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (steady evaluators
+  with a batch kernel) or bit-identical (evaluators that fall back to
+  serial, and the dynamic ``transient``/``runtime`` evaluators, which
+  *are* their batch kernels run on a batch of one: the vectorized batch
+  of N must match the serial N batches of one lane by lane).
 
 Plus the cache-interop contract: results computed by any backend land in
 the shared :class:`~repro.sweep.runner.SweepCache` under the same keys,
@@ -86,10 +89,15 @@ class TestEquivalenceMatrix:
 
         # Process scheduling must not change a single bit.
         assert_equivalent(serial, process, rtol=0.0)
-        # Vectorized kernels agree within the documented tolerance;
-        # fallback evaluators are bit-identical by construction.
+        # Steady kernels agree within the documented tolerance; fallback
+        # evaluators and the dynamic kernels are bit-identical.
         evaluator = specs[0].evaluator
-        rtol = EQUIVALENCE_RTOL if evaluator in BATCH_KERNELS else 0.0
+        rtol = (
+            EQUIVALENCE_RTOL
+            if evaluator in BATCH_KERNELS
+            and evaluator not in ("transient", "runtime")
+            else 0.0
+        )
         assert_equivalent(serial, vectorized, rtol=rtol)
 
 
