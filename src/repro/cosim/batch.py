@@ -21,14 +21,16 @@ inlet, raster) — and the march exploits that structure:
   *prefills* the surface: the group temperatures of all columns at each
   sample time go through
   :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so missing
-  node curves are marched as one batch instead of one by one.
+  node curves are marched as one batch instead of one batch of one per
+  lazy miss.
 
 Equivalence: a case's trajectory — temperatures and currents — is
 *bit-exact* whatever batch it rides in: SuperLU solves a multi-column
 right-hand side column by column, every column is copied contiguous
 before sampling so reductions see the same memory layout, and the
-batched polarization march builds each node curve independently of the
-rest of its batch. That matters because the temperatures feed
+porous march builds each node curve independently of the rest of its
+batch — a prefilled node equals a lazily built one bit for bit, so
+warming changes cost, never results. That matters because the temperatures feed
 discontinuous decisions downstream (settling-band exits here, control
 branches in the runtime layer).
 """
@@ -188,7 +190,8 @@ def sample_columns(
     runtime engine). All columns' channel-group temperatures go through
     :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes` before
     any current lookup, so missing node curves are marched as one batch
-    instead of one march per first-touching column. Each column is
+    instead of one batch of one per first-touching column (the curves are
+    the same either way). Each column is
     copied contiguous first: numpy's pairwise reductions can round
     differently on strided views, and a column must sample
     bit-identically whatever batch it rides in.

@@ -135,45 +135,51 @@ class PolarizationSurface:
         )
         return index, position - index
 
-    def _curve(self, node: int) -> PolarizationCurve:
-        """The group curve at one grid node (built lazily, once)."""
-        curve = self._curves.get(node)
-        if curve is None:
-            from repro.casestudy.power7plus import build_array_cell
+    def _build_nodes(self, nodes: "list[int]") -> None:
+        """Construct the group curves of the given grid nodes in one march.
 
-            # Warm counter: whether a node is already built depends on
-            # what earlier runs left in the shared surface.
-            obs.inc("surface.node_builds", warm=True)
+        The one node-build path: a lazy single node and a prefilled set
+        both go through one
+        :func:`~repro.flowcell.batch.batched_polarization_curves` call,
+        whose rows do not depend on the rest of their batch — so a node's
+        curve is bit-identical however the surface was filled.
+        """
+        from repro.casestudy.power7plus import build_array_cell
+        from repro.flowcell.batch import batched_polarization_curves
 
-            cell = build_array_cell(
+        cells = [
+            build_array_cell(
                 total_flow_ml_min=self.total_flow_ml_min,
                 temperature_k=float(self.node_temperatures_k[node]),
                 temperature_dependent=True,
             )
-            curve = cell.polarization_curve(
-                n_points=self.n_curve_points,
-                max_overpotential_v=self.max_overpotential_v,
-            ).scaled(self.channels_per_group)
-            self._curves[node] = curve
-        return curve
+            for node in nodes
+        ]
+        curves = batched_polarization_curves(
+            cells,
+            n_points=self.n_curve_points,
+            max_overpotential_v=self.max_overpotential_v,
+        )
+        for node, curve in zip(nodes, curves):
+            self._curves[node] = curve.scaled(self.channels_per_group)
+
+    def _curve(self, node: int) -> PolarizationCurve:
+        """The group curve at one grid node (built lazily, once)."""
+        if node not in self._curves:
+            # Warm counter: whether a node is already built depends on
+            # what earlier runs left in the shared surface.
+            obs.inc("surface.node_builds", warm=True)
+            self._build_nodes([node])
+        return self._curves[node]
 
     def warm_nodes(self, temperatures_k) -> int:
-        """Build every node curve the given temperatures bracket, batched.
+        """Build every node curve the given temperatures bracket, at once.
 
-        The lazy :meth:`_curve` path constructs one node curve per miss —
-        a full scalar porous-electrode march each time, which dominates
-        the dynamic sweep evaluators' cost. This prefill collects the
-        missing bracketing nodes of all the given query temperatures and
-        builds them in a single call to
-        :func:`~repro.flowcell.batch.batched_polarization_curves` (one
-        array march for the whole set). Returns how many nodes were built.
-
-        Batched and scalar marches agree only to floating-point round-off
-        (~1 ulp on the curve samples), so a prefetched node can differ
-        from its lazily built twin in the last bit — callers that promise
-        *bit*-identity to a scalar reference must not warm (the batched
-        sweep kernels promise bit-identical thermal trajectories and
-        round-off-level electrical KPIs, which warming preserves).
+        Collects the missing bracketing nodes of all the given query
+        temperatures and builds them in a single batched march, instead
+        of one march per lazy miss — the prefill the dynamic sweep
+        kernels run before sampling. Returns how many nodes were built.
+        A warmed node is bit-identical to the same node built lazily.
         """
         temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
         index, _ = self._bracket(temps)
@@ -184,24 +190,7 @@ class PolarizationSurface:
             return 0
         obs.inc("surface.nodes_warmed", len(missing), warm=True)
         obs.observe("surface.warm_nodes.size", len(missing), warm=True)
-        from repro.casestudy.power7plus import build_array_cell
-        from repro.flowcell.batch import batched_polarization_curves
-
-        cells = [
-            build_array_cell(
-                total_flow_ml_min=self.total_flow_ml_min,
-                temperature_k=float(self.node_temperatures_k[node]),
-                temperature_dependent=True,
-            )
-            for node in missing
-        ]
-        curves = batched_polarization_curves(
-            cells,
-            n_points=self.n_curve_points,
-            max_overpotential_v=self.max_overpotential_v,
-        )
-        for node, curve in zip(missing, curves):
-            self._curves[node] = curve.scaled(self.channels_per_group)
+        self._build_nodes(missing)
         return len(missing)
 
     def _node_current(self, node: int, voltage_v: float) -> float:

@@ -1,25 +1,28 @@
-"""Batched plug-flow polarization curves (vectorized across cells).
+"""The plug-flow porous-electrode march (vectorized across cells).
 
-The porous-electrode march of
-:meth:`~repro.flowcell.porous.FlowThroughPorousCell.polarization_curve`
-is closed-form in every segment — Nernst potential, exchange current and
-the film-model Butler-Volmer current are all elementary functions of the
-local concentrations — so the only *sequential* axis is the axial segment
-index. Across cells (different flows, channel widths, temperatures) and
-across the potential samples of one sweep, everything is independent.
+:func:`march_electrodes` is the one implementation of the
+porous-electrode march in the package: every
+:class:`~repro.flowcell.porous.FlowThroughPorousCell` current, electrode
+characteristic, axial profile, polarization curve and charging sweep is
+a call into it. A single cell is a batch of one.
 
-:func:`batched_polarization_curves` exploits exactly that: it marches the
-whole batch as ``(cell, potential-sample)`` numpy arrays, one segment at a
-time, instead of one scalar march per (cell, sample) pair. For a design
-sweep touching a dozen flow rates this turns thousands of scalar
-Butler-Volmer evaluations into ~tens of array operations — the electrical
-half of the :class:`~repro.sweep.backends.VectorizedBackend` speedup.
+The march is closed-form in every segment — Nernst potential, exchange
+current and the film-model Butler-Volmer current are all elementary
+functions of the local concentrations — so the only *sequential* axis is
+the axial segment index. Across cells (different flows, channel widths,
+temperatures) and across the potential samples of one sweep, everything
+is independent, so the whole batch marches as ``(cell, potential-sample)``
+numpy arrays, one segment at a time. For a design sweep touching a dozen
+flow rates this is ~tens of array operations for every curve at once —
+the electrical half of the :class:`~repro.sweep.backends.VectorizedBackend`
+speedup.
 
-Numerical parity: the batched march evaluates the *same* expressions as
-the scalar path (same Nernst concentration floor, same 0.999 Faradaic cap
-per segment, same exponent clipping), so results agree with
-:meth:`FlowThroughPorousCell.polarization_curve` to floating-point
-round-off (``tests/flowcell/test_batch.py`` pins a 1e-9 relative band).
+Batch independence: every operation of the march is elementwise, and
+each row is sorted and assembled on its own, so a cell's curve is
+bit-identical whatever batch it rides in — a batch of N is N batches of
+one. ``tests/flowcell/test_batch.py`` pins that, and checks the march
+against an independent per-segment :class:`~repro.electrochem.halfcell.
+FilmHalfCell` reference within a 1e-9 relative band.
 
 Requirements on a batch: every cell must use the same segment count and
 the same curve sampling (the callers in :mod:`repro.sweep.vectorized`
@@ -41,38 +44,71 @@ from repro.flowcell.cell import ElectrodeCharacteristic, assemble_polarization
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.flowcell.porous import FlowThroughPorousCell
+    from repro.materials.electrolyte import Electrolyte
 
-#: Exponent clip shared with the scalar path
-#: (:meth:`FilmHalfCell.current_at_overpotential`).
+#: Exponent clip: extreme overpotentials saturate at the transport
+#: limits instead of overflowing.
 _EXPONENT_CLIP = 500.0
 
+#: Smallest nonzero overpotential [V] of a sweep grid.
+_FIRST_OVERPOTENTIAL_V = 1e-3
 
-def _batched_electrode_characteristics(
-    cells: "Sequence[FlowThroughPorousCell]",
-    anodic: bool,
-    n_samples: int,
-    max_overpotential_v: float,
-) -> "list[ElectrodeCharacteristic]":
-    """One electrode side of the whole batch, marched as arrays.
 
-    Mirrors :meth:`FlowThroughPorousCell.electrode_characteristic` /
-    :meth:`FlowThroughPorousCell.electrode_current` expression by
-    expression; see the module docstring for the parity contract.
+def overpotential_grid(n_samples: int, max_overpotential_v: float) -> np.ndarray:
+    """The overpotential samples [V] of one electrode sweep.
+
+    Zero, then ``n_samples - 1`` log-spaced values from 1 mV up to
+    ``max_overpotential_v`` — resolving both the kinetic knee and the
+    transport plateau. Raises :class:`ConfigurationError` for fewer than
+    4 samples or a ceiling not above 1 mV.
     """
-    n_segments = cells[0].n_segments
-    sign = 1.0 if anodic else -1.0
+    if n_samples < 4:
+        raise ConfigurationError(f"n_samples must be >= 4, got {n_samples}")
+    if not max_overpotential_v > _FIRST_OVERPOTENTIAL_V:
+        raise ConfigurationError(
+            f"max_overpotential_v must be > {_FIRST_OVERPOTENTIAL_V:g} V, "
+            f"got {max_overpotential_v!r}"
+        )
+    return np.concatenate((
+        [0.0],
+        np.geomspace(_FIRST_OVERPOTENTIAL_V, max_overpotential_v, n_samples - 1),
+    ))
+
+
+def march_electrodes(
+    cells: "Sequence[FlowThroughPorousCell]",
+    electrolytes: "Sequence[Electrolyte]",
+    anodic: bool,
+    potentials_v: np.ndarray,
+    record_profile: bool = False,
+) -> "np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Electrode currents of a batch of cells at fixed electrode potentials.
+
+    Marches the plug flow of each cell's ``electrolytes[b]`` through the
+    axial segments at every potential ``potentials_v[b, s]`` (shape
+    ``(cells, samples)``), reacting each segment at the local
+    composition. ``anodic`` is the reaction direction whose consumed
+    species' transport properties apply (the reduced species for an
+    anodic electrode, the oxidised one otherwise).
+
+    Returns the signed electrode currents [A] (anodic positive), shape
+    ``(cells, samples)``. With ``record_profile`` it returns
+    ``(currents, conc_ox, conc_red)``, the concentrations [mol/m^3]
+    leaving every segment with shape ``(cells, samples, segments)``.
+    """
+    segment_counts = {cell.n_segments for cell in cells}
+    if len(segment_counts) != 1:
+        raise ConfigurationError(
+            "a batch must share one segment count, got "
+            f"{sorted(segment_counts)}"
+        )
+    (n_segments,) = segment_counts
 
     # Per-cell scalars, shaped (B, 1) so they broadcast over samples.
     def column(values: "list[float]") -> np.ndarray:
         return np.asarray(values, dtype=float)[:, None]
 
-    couples = [
-        (cell.spec.anolyte if anodic else cell.spec.catholyte).couple
-        for cell in cells
-    ]
-    electrolytes = [
-        cell.spec.anolyte if anodic else cell.spec.catholyte for cell in cells
-    ]
+    couples = [electrolyte.couple for electrolyte in electrolytes]
     temperatures = [cell.temperature_k for cell in cells]
     km = column([
         cell._km(
@@ -103,21 +139,8 @@ def _batched_electrode_characteristics(
     nernst_slope = 1.0 / f_over_rt
     nfk = electrons * FARADAY * km
 
-    # The sampled electrode potentials: the inlet equilibrium potential
-    # plus a log-spaced overpotential sweep (identical grid construction
-    # to the scalar path, per cell).
-    overpotentials = np.concatenate(
-        ([0.0], np.geomspace(1e-3, max_overpotential_v, n_samples - 1))
-    )
-    e_eq_inlet = column([
-        equilibrium_potential(
-            couple, electrolyte.conc_ox, electrolyte.conc_red, t
-        )
-        for couple, electrolyte, t in zip(couples, electrolytes, temperatures)
-    ])
-    potentials = e_eq_inlet + sign * overpotentials[None, :]  # (B, S)
-
     # March state: local concentrations per (cell, sample).
+    potentials = np.asarray(potentials_v, dtype=float)
     shape = potentials.shape
     conc_ox = np.broadcast_to(
         column([e.conc_ox for e in electrolytes]), shape
@@ -126,6 +149,7 @@ def _batched_electrode_characteristics(
         column([e.conc_red for e in electrolytes]), shape
     ).copy()
     total_current = np.zeros(shape)
+    profile_ox, profile_red = [], []
 
     for _ in range(n_segments):
         e_eq = e_standard + nernst_slope * np.log(
@@ -134,11 +158,12 @@ def _batched_electrode_characteristics(
         )
         eta = potentials - e_eq
         # Exchange current j0 = n*F*k0 * C_ox^a * C_red^(1-a); a depleted
-        # species zeroes it, which zeroes the segment current exactly as
-        # the scalar guards do.
+        # species zeroes it, which zeroes the segment current.
         j0 = electrons * FARADAY * k0 * conc_ox**alpha * conc_red ** (
             1.0 - alpha
         )
+        # Film-model Butler-Volmer in closed form (see
+        # FilmHalfCell.current_at_overpotential).
         exp_a = np.exp(np.minimum((1.0 - alpha) * f_over_rt * eta, _EXPONENT_CLIP))
         exp_c = np.exp(np.minimum(-alpha * f_over_rt * eta, _EXPONENT_CLIP))
         denominator = (
@@ -159,26 +184,24 @@ def _batched_electrode_characteristics(
         conc_red = conc_red - delta_c
         conc_ox = conc_ox + delta_c
         total_current = total_current + segment_current
+        if record_profile:
+            profile_ox.append(conc_ox)
+            profile_red.append(conc_red)
 
-    characteristics = []
-    for b in range(len(cells)):
-        row_potentials = potentials[b]
-        row_currents = total_current[b]
-        order = np.argsort(row_potentials)
-        row_potentials = row_potentials[order]
-        # Guard against round-off kinks, as the scalar path does.
-        row_currents = np.maximum.accumulate(row_currents[order])
-        characteristics.append(
-            ElectrodeCharacteristic(row_potentials, row_currents)
+    if record_profile:
+        return (
+            total_current,
+            np.stack(profile_ox, axis=-1),
+            np.stack(profile_red, axis=-1),
         )
-    return characteristics
+    return total_current
 
 
 def _masked_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     """numerator / denominator where the denominator is positive, else 0.
 
-    The zero branch reproduces the scalar guards for a fully depleted
-    species (whose j0 factor already zeroes the current).
+    The zero branch covers a fully depleted species, whose j0 factor
+    already zeroes the current.
     """
     out = np.zeros(np.broadcast_shapes(numerator.shape, denominator.shape))
     np.divide(
@@ -190,6 +213,45 @@ def _masked_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return out
 
 
+def electrode_characteristics(
+    cells: "Sequence[FlowThroughPorousCell]",
+    anodic: bool,
+    n_samples: int,
+    max_overpotential_v: float,
+) -> "list[ElectrodeCharacteristic]":
+    """Discharge-direction I(E) of one electrode side of every cell.
+
+    The fuel electrode (``anodic=True``) sweeps upward from its inlet
+    equilibrium potential, the oxidant electrode downward, over
+    :func:`overpotential_grid`. Each characteristic is in *signed
+    electrode current* (anodic positive) on an increasing potential
+    axis, as :func:`assemble_polarization` expects.
+    """
+    overpotentials = overpotential_grid(n_samples, max_overpotential_v)
+    electrolytes = [
+        cell.spec.anolyte if anodic else cell.spec.catholyte for cell in cells
+    ]
+    e_eq_inlet = np.array([
+        equilibrium_potential(
+            electrolyte.couple, electrolyte.conc_ox, electrolyte.conc_red,
+            cell.temperature_k,
+        )
+        for cell, electrolyte in zip(cells, electrolytes)
+    ])
+    sign = 1.0 if anodic else -1.0
+    potentials = e_eq_inlet[:, None] + sign * overpotentials[None, :]
+    currents = march_electrodes(cells, electrolytes, anodic, potentials)
+
+    characteristics = []
+    for row_potentials, row_currents in zip(potentials, currents):
+        order = np.argsort(row_potentials)
+        # Guard against round-off kinks; physically I(E) is monotone.
+        characteristics.append(ElectrodeCharacteristic(
+            row_potentials[order], np.maximum.accumulate(row_currents[order])
+        ))
+    return characteristics
+
+
 def batched_polarization_curves(
     cells: "Sequence[FlowThroughPorousCell]",
     n_points: int = 40,
@@ -198,38 +260,30 @@ def batched_polarization_curves(
 ) -> "list[PolarizationCurve]":
     """Full-cell polarization curves for a batch of porous cells at once.
 
-    Drop-in vectorized equivalent of calling
-    ``cell.polarization_curve(n_points, n_potential_samples,
-    max_overpotential_v)`` on every cell; returns the curves in input
-    order. All cells must share one segment count (the sampling arguments
-    already apply batch-wide).
+    The batched form of ``cell.polarization_curve(n_points,
+    n_potential_samples, max_overpotential_v)``, which is this function
+    on a batch of one; returns the curves in input order. All cells must
+    share one segment count (the sampling arguments already apply
+    batch-wide).
 
     Example
     -------
     >>> from repro.casestudy.power7plus import build_array_cell
     >>> cells = [build_array_cell(flow) for flow in (338.0, 676.0)]
     >>> curves = batched_polarization_curves(cells, max_overpotential_v=1.4)
-    >>> reference = cells[1].polarization_curve(max_overpotential_v=1.4)
-    >>> bool(abs(curves[1].current_at_voltage(1.0)
-    ...          - reference.current_at_voltage(1.0)) < 1e-9)
+    >>> (alone,) = batched_polarization_curves(
+    ...     cells[1:], max_overpotential_v=1.4
+    ... )
+    >>> bool((alone.current_a == curves[1].current_a).all()
+    ...      and (alone.voltage_v == curves[1].voltage_v).all())
     True
     """
     if not cells:
         return []
-    if n_potential_samples < 4:
-        raise ConfigurationError(
-            f"n_samples must be >= 4, got {n_potential_samples}"
-        )
-    segment_counts = {cell.n_segments for cell in cells}
-    if len(segment_counts) != 1:
-        raise ConfigurationError(
-            "a batch must share one segment count, got "
-            f"{sorted(segment_counts)}"
-        )
-    negatives = _batched_electrode_characteristics(
+    negatives = electrode_characteristics(
         cells, True, n_potential_samples, max_overpotential_v
     )
-    positives = _batched_electrode_characteristics(
+    positives = electrode_characteristics(
         cells, False, n_potential_samples, max_overpotential_v
     )
     return [

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.electrochem.nernst import equilibrium_potential
 from repro.errors import ConfigurationError
+from repro.flowcell.batch import march_electrodes, overpotential_grid
 from repro.flowcell.cell import ElectrodeCharacteristic
 from repro.flowcell.porous import FlowThroughPorousCell
 
@@ -39,28 +40,23 @@ def _charge_sweep(
     *decreases* along it, so the magnitude is stored against a flipped
     axis.
     """
+    overpotentials = overpotential_grid(n_samples, max_overpotential_v)
     electrolyte = cell.spec.anolyte if use_anolyte else cell.spec.catholyte
     e_eq = equilibrium_potential(
         electrolyte.couple, electrolyte.conc_ox, electrolyte.conc_red,
         cell.temperature_k,
     )
-    overpotentials = np.concatenate(
-        ([0.0], np.geomspace(1e-3, max_overpotential_v, n_samples - 1))
-    )
     # Charging: anolyte electrode driven below E_eq (cathodic), catholyte
     # electrode above (anodic).
     sign = -1.0 if use_anolyte else +1.0
-    magnitudes = np.empty_like(overpotentials)
-    for k, ov in enumerate(overpotentials):
-        potential = e_eq + sign * ov
-        # 'anodic' selects the electrode's operating direction so the
-        # consumed-species transport properties are used: during charge the
-        # anolyte electrode runs cathodically and vice versa.
-        current = cell.electrode_current(
-            electrolyte, potential, anodic=not use_anolyte
-        )
-        magnitudes[k] = abs(current)
-    magnitudes = np.maximum.accumulate(magnitudes)
+    # The reaction direction selects the consumed-species transport
+    # properties: during charge the anolyte electrode runs cathodically
+    # and vice versa.
+    currents = march_electrodes(
+        [cell], [electrolyte], not use_anolyte,
+        (e_eq + sign * overpotentials)[None, :],
+    )
+    magnitudes = np.maximum.accumulate(np.abs(currents[0]))
     # Store |I|(overpotential) on an increasing pseudo-potential axis.
     return ElectrodeCharacteristic(overpotentials, magnitudes)
 

@@ -19,9 +19,10 @@ through:
   whole channel; the axial reaction distribution follows from the local
   concentration state.
 
-The electrode characteristic I(E) is produced by sweeping the electrode
-potential; the cell curve is assembled by
-:func:`repro.flowcell.cell.assemble_polarization`.
+The march itself is :func:`repro.flowcell.batch.march_electrodes`; every
+method here runs it on a batch of one cell. The electrode characteristic
+I(E) is produced by sweeping the electrode potential; the cell curve is
+assembled by :func:`repro.flowcell.cell.assemble_polarization`.
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import FARADAY
-from repro.electrochem.halfcell import FilmHalfCell
 from repro.electrochem.polarization import PolarizationCurve
 from repro.errors import ConfigurationError
-from repro.flowcell.cell import (
-    ColaminarCellSpec,
-    ElectrodeCharacteristic,
-    assemble_polarization,
+from repro.flowcell.batch import (
+    batched_polarization_curves,
+    electrode_characteristics,
+    march_electrodes,
 )
+from repro.flowcell.cell import ColaminarCellSpec, ElectrodeCharacteristic
 from repro.materials.electrolyte import Electrolyte
 from repro.microfluidics.mass_transfer import porous_mass_transfer_coefficient
 
@@ -137,45 +137,11 @@ class FlowThroughPorousCell:
         runs in the electrode's discharge direction (anodic for the fuel
         electrode, cathodic magnitude for the oxidant electrode).
         """
-        couple = electrolyte.couple
-        diffusivity = (
-            couple.diffusivity_red(self.temperature_k)
-            if anodic
-            else couple.diffusivity_ox(self.temperature_k)
+        currents = march_electrodes(
+            [self], [electrolyte], anodic, np.array([[potential_v]])
         )
-        km = self._km(diffusivity)
-        area_per_segment = (
-            self.electrode.specific_surface_area_m2_m3 * self._segment_volume_m3
-        )
-        flow = self.spec.stream_flow_m3_s
-        n_f_q = couple.electrons * FARADAY * flow
-
-        conc_ox = electrolyte.conc_ox
-        conc_red = electrolyte.conc_red
-        total_current = 0.0
-        for _ in range(self.n_segments):
-            half = FilmHalfCell(
-                couple=couple,
-                conc_ox=conc_ox,
-                conc_red=conc_red,
-                mass_transfer_coefficient=km,
-                temperature_k=self.temperature_k,
-            )
-            j_signed = half.current_at_potential(potential_v)
-            segment_current = j_signed * area_per_segment
-            # Cap conversion at the reactant actually present in this
-            # segment's throughflow (plug-flow Faradaic bound).
-            if segment_current > 0.0:
-                available = conc_red * n_f_q
-                segment_current = min(segment_current, 0.999 * available)
-            else:
-                available = conc_ox * n_f_q
-                segment_current = max(segment_current, -0.999 * available)
-            delta_c = segment_current / n_f_q
-            conc_red -= delta_c
-            conc_ox += delta_c
-            total_current += segment_current
-        return total_current if anodic else -total_current
+        current = float(currents[0, 0])
+        return current if anodic else -current
 
     def electrode_characteristic(
         self,
@@ -190,31 +156,12 @@ class FlowThroughPorousCell:
         electrode downward. The sweep is log-spaced in overpotential to
         resolve both the kinetic knee and the transport plateau. The
         returned characteristic is in *signed electrode current* (anodic
-        positive), as :func:`assemble_polarization` expects.
+        positive), as :func:`~repro.flowcell.cell.assemble_polarization`
+        expects.
         """
-        if n_samples < 4:
-            raise ConfigurationError(f"n_samples must be >= 4, got {n_samples}")
-        electrolyte = self.spec.anolyte if anodic else self.spec.catholyte
-        from repro.electrochem.nernst import equilibrium_potential
-
-        e_eq = equilibrium_potential(
-            electrolyte.couple, electrolyte.conc_ox, electrolyte.conc_red,
-            self.temperature_k,
-        )
-        overpotentials = np.concatenate(
-            ([0.0], np.geomspace(1e-3, max_overpotential_v, n_samples - 1))
-        )
-        sign = 1.0 if anodic else -1.0
-        potentials = e_eq + sign * overpotentials
-        currents = np.empty_like(potentials)
-        for k, potential in enumerate(potentials):
-            current = self.electrode_current(electrolyte, potential, anodic)
-            currents[k] = sign * current  # back to signed (anodic positive)
-        order = np.argsort(potentials)
-        potentials, currents = potentials[order], currents[order]
-        # Guard against round-off kinks; physically I(E) is monotone.
-        currents = np.maximum.accumulate(currents)
-        return ElectrodeCharacteristic(potentials, currents)
+        return electrode_characteristics(
+            [self], anodic, n_samples, max_overpotential_v
+        )[0]
 
     def axial_profile(
         self, electrolyte: Electrolyte, potential_v: float, anodic: bool
@@ -225,40 +172,13 @@ class FlowThroughPorousCell:
         midpoints — the depletion profile that caps the Faradaic conversion
         and the quantity a reactant-utilisation study reads.
         """
-        couple = electrolyte.couple
-        diffusivity = (
-            couple.diffusivity_red(self.temperature_k)
-            if anodic
-            else couple.diffusivity_ox(self.temperature_k)
+        _, conc_ox, conc_red = march_electrodes(
+            [self], [electrolyte], anodic, np.array([[potential_v]]),
+            record_profile=True,
         )
-        km = self._km(diffusivity)
-        area_per_segment = (
-            self.electrode.specific_surface_area_m2_m3 * self._segment_volume_m3
-        )
-        n_f_q = couple.electrons * FARADAY * self.spec.stream_flow_m3_s
-
-        conc_ox = electrolyte.conc_ox
-        conc_red = electrolyte.conc_red
         length = self.spec.channel.length_m
         xs = (np.arange(self.n_segments) + 0.5) * length / self.n_segments
-        profile_ox = np.empty(self.n_segments)
-        profile_red = np.empty(self.n_segments)
-        for k in range(self.n_segments):
-            half = FilmHalfCell(
-                couple=couple, conc_ox=conc_ox, conc_red=conc_red,
-                mass_transfer_coefficient=km, temperature_k=self.temperature_k,
-            )
-            segment_current = half.current_at_potential(potential_v) * area_per_segment
-            if segment_current > 0.0:
-                segment_current = min(segment_current, 0.999 * conc_red * n_f_q)
-            else:
-                segment_current = max(segment_current, -0.999 * conc_ox * n_f_q)
-            delta_c = segment_current / n_f_q
-            conc_red -= delta_c
-            conc_ox += delta_c
-            profile_ox[k] = conc_ox
-            profile_red[k] = conc_red
-        return xs, profile_ox, profile_red
+        return xs, conc_ox[0, 0], conc_red[0, 0]
 
     # -- full cell ---------------------------------------------------------------------
 
@@ -320,21 +240,6 @@ class FlowThroughPorousCell:
         max_overpotential_v: float = 1.0,
     ) -> PolarizationCurve:
         """Full-cell V(I) by combining the two electrode characteristics."""
-        negative = self.electrode_characteristic(
-            anodic=True,
-            n_samples=n_potential_samples,
-            max_overpotential_v=max_overpotential_v,
-        )
-        positive = self.electrode_characteristic(
-            anodic=False,
-            n_samples=n_potential_samples,
-            max_overpotential_v=max_overpotential_v,
-        )
-        return assemble_polarization(
-            negative,
-            positive,
-            self.resistance_ohm,
-            ocv_adjustment_v=self.spec.ocv_adjustment_v,
-            n_points=n_points,
-            label=f"porous cell @ {self.temperature_k:.1f} K",
-        )
+        return batched_polarization_curves(
+            [self], n_points, n_potential_samples, max_overpotential_v
+        )[0]

@@ -42,7 +42,8 @@ magnitude tighter in practice); the dynamic kernels are stricter still —
 a scenario's metrics are bit-identical whatever batch it rides in,
 because their floats feed discontinuous decisions (flow quantization,
 governor hysteresis, settling-band exits) where closeness would not
-survive.
+survive. ``vrm`` is bit-identical too: it shares only the porous march,
+where a curve does not depend on its batch.
 ``tests/sweep/test_backends.py`` pins it for every preset.
 """
 

@@ -103,6 +103,26 @@ class TestGrid:
         # Two queries inside one grid cell touch only its two nodes.
         assert fresh.nodes_built == 2
 
+    def test_lazy_and_warmed_nodes_are_bit_identical(self):
+        """A node's curve does not depend on how the surface was filled."""
+        temps = [299.7, 300.3, 318.9, 341.0, 363.2]
+        lazy = PolarizationSurface(676.0, CHANNELS_PER_GROUP, n_curve_points=20)
+        for t in temps:
+            lazy.currents_at([t], 1.0)
+        warmed = PolarizationSurface(676.0, CHANNELS_PER_GROUP,
+                                     n_curve_points=20)
+        assert warmed.warm_nodes(temps) == lazy.nodes_built == 9
+        for node in lazy._curves:
+            np.testing.assert_array_equal(
+                warmed._curves[node].current_a, lazy._curves[node].current_a
+            )
+            np.testing.assert_array_equal(
+                warmed._curves[node].voltage_v, lazy._curves[node].voltage_v
+            )
+        np.testing.assert_array_equal(
+            warmed.currents_at(temps, 1.0), lazy.currents_at(temps, 1.0)
+        )
+
     def test_out_of_range_raises(self, surface):
         lo, hi = surface.temperature_range_k
         with pytest.raises(ConfigurationError):

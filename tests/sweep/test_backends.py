@@ -8,10 +8,12 @@ produce the same result set:
   the scheduling differs);
 - serial vs vectorized: within the documented
   :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (steady evaluators
-  with a batch kernel) or bit-identical (evaluators that fall back to
-  serial, and the dynamic ``transient``/``runtime`` evaluators, which
-  *are* their batch kernels run on a batch of one: the vectorized batch
-  of N must match the serial N batches of one lane by lane).
+  whose batch kernel anchors thermal solves) or bit-identical
+  (evaluators that fall back to serial; the dynamic
+  ``transient``/``runtime`` evaluators, which *are* their batch kernels
+  run on a batch of one: the vectorized batch of N must match the serial
+  N batches of one lane by lane; and ``vrm``, whose kernel only batches
+  the porous march, where a curve is the same in any batch).
 
 Plus the cache-interop contract: results computed by any backend land in
 the shared :class:`~repro.sweep.runner.SweepCache` under the same keys,
@@ -89,13 +91,15 @@ class TestEquivalenceMatrix:
 
         # Process scheduling must not change a single bit.
         assert_equivalent(serial, process, rtol=0.0)
-        # Steady kernels agree within the documented tolerance; fallback
-        # evaluators and the dynamic kernels are bit-identical.
+        # Steady kernels with anchored thermal solves agree within the
+        # documented tolerance; fallback evaluators, the dynamic kernels
+        # and the curve-only vrm kernel (the porous march is
+        # batch-independent) are bit-identical.
         evaluator = specs[0].evaluator
         rtol = (
             EQUIVALENCE_RTOL
             if evaluator in BATCH_KERNELS
-            and evaluator not in ("transient", "runtime")
+            and evaluator not in ("transient", "runtime", "vrm")
             else 0.0
         )
         assert_equivalent(serial, vectorized, rtol=rtol)
