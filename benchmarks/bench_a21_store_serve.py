@@ -18,6 +18,7 @@ bench pins end to end:
 every push.
 """
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -55,7 +56,11 @@ def _cold_fill(args):
 
 def test_a21_warm_replay_across_processes(tmp_path):
     directory = str(tmp_path / "store")
-    with ProcessPoolExecutor(max_workers=1) as pool:
+    # Spawn, not fork: a forked filler would inherit this process's warm
+    # evaluator caches and its "cold" run would not be cold.
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
         cold_s, cold_stats, cold_csv = pool.submit(
             _cold_fill, (directory, POINTS)
         ).result()

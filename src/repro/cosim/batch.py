@@ -21,15 +21,15 @@ inlet, raster) — and the march exploits that structure:
   *prefills* the surface: the group temperatures of all columns at each
   sample time go through
   :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so missing
-  node curves are marched as one batch instead of one batch of one per
-  lazy miss.
+  node curves are marched as one batch per sample time instead of one
+  per column's query.
 
 Equivalence: a case's trajectory — temperatures and currents — is
 *bit-exact* whatever batch it rides in: SuperLU solves a multi-column
 right-hand side column by column, every column is copied contiguous
 before sampling so reductions see the same memory layout, and the
 porous march builds each node curve independently of the rest of its
-batch — a prefilled node equals a lazily built one bit for bit, so
+batch — a prefilled node equals one built by a query bit for bit, so
 warming changes cost, never results. That matters because the temperatures feed
 discontinuous decisions downstream (settling-band exits here, control
 branches in the runtime layer).
@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
-from repro.cosim.surface import surface_for
+from repro.cosim.surface import surface_for, warm_surfaces
 from repro.cosim.transient import TransientSample
 from repro.errors import ConfigurationError
 
@@ -190,8 +190,8 @@ def sample_columns(
     runtime engine). All columns' channel-group temperatures go through
     :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes` before
     any current lookup, so missing node curves are marched as one batch
-    instead of one batch of one per first-touching column (the curves are
-    the same either way). Each column is
+    instead of one batch per first-touching column's query (the curves
+    are the same either way). Each column is
     copied contiguous first: numpy's pairwise reductions can round
     differently on strided views, and a column must sample
     bit-identically whatever batch it rides in.
@@ -209,11 +209,7 @@ def sample_columns(
         for solution, config in zip(solutions, configs)
     ]
     surfaces = [surface_for(config) for config in configs]
-    queries: "dict[int, tuple[object, list[np.ndarray]]]" = {}
-    for surface, temps in zip(surfaces, group_temps):
-        queries.setdefault(id(surface), (surface, []))[1].append(temps)
-    for surface, temp_arrays in queries.values():
-        surface.warm_nodes(np.concatenate(temp_arrays))
+    warm_surfaces(zip(surfaces, group_temps))
     samples = []
     for solution, config, surface, temps in zip(
         solutions, configs, surfaces, group_temps

@@ -11,7 +11,11 @@ not see.
 A :class:`PolarizationSurface` replaces all of that: group polarization
 curves are computed on a uniform temperature grid (configurable range and
 resolution), each grid node at most once, and queries interpolate linearly
-between the two bracketing nodes. The surface is shared process-wide via
+between the two bracketing nodes. Every query first *fills* the surface:
+it collects the missing nodes that bracket its temperatures and marches
+them in one :func:`~repro.flowcell.batch.batched_polarization_curves`
+call, so a query spanning many new nodes costs one batched march, not one
+march per node. The surface is shared process-wide via
 :meth:`PolarizationSurface.shared` / :func:`surface_for`, so the steady
 coupling loop, the transient stepper and the sweep evaluators all draw
 from the same curve store — a sweep revisiting the same flow rate never
@@ -26,7 +30,7 @@ resolution sits orders of magnitude inside the 0.5 % acceptance band
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -39,7 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Default temperature window [K]: generously wider than any co-sim
 #: operating envelope (the 48 ml/min stress case peaks near 365 K). Nodes
-#: are filled lazily, so a wide default costs nothing until visited.
+#: are built only when a query brackets them, so a wide default costs
+#: nothing until visited.
 DEFAULT_TEMPERATURE_RANGE_K = (250.0, 450.0)
 
 #: Default grid spacing [K].
@@ -58,11 +63,14 @@ class PolarizationSurface:
     n_curve_points / max_overpotential_v:
         Sampling of each underlying polarization curve.
     temperature_range_k / resolution_k:
-        Grid window and spacing. Queries outside the window raise (widen
-        the range rather than extrapolate). Grid nodes are built lazily —
-        each node's curve is constructed at most once, on first use, so
-        the cost of a surface is proportional to the temperature span
-        actually visited, not to the configured window.
+        Grid window and spacing. Queries outside the window (or not
+        finite) raise (widen the range rather than extrapolate). Grid
+        nodes are built on demand — each query, and each
+        :meth:`warm_nodes` prefill, marches the missing nodes bracketing
+        its temperatures in one batch, and each node's curve is
+        constructed at most once — so the cost of a surface is
+        proportional to the temperature span actually visited, not to
+        the configured window.
     """
 
     def __init__(
@@ -99,6 +107,8 @@ class PolarizationSurface:
         n_nodes = int(math.ceil((t_max - t_min) / resolution_k)) + 1
         self.node_temperatures_k = t_min + resolution_k * np.arange(n_nodes)
         self._curves: "dict[int, PolarizationCurve]" = {}
+        #: per node: is its curve in ``_curves`` (the fill's fast check)
+        self._built = np.zeros(n_nodes, dtype=bool)
         self._node_ocvs: "dict[int, float]" = {}
         #: per terminal voltage: {node index: group current [A]}
         self._node_currents: "dict[float, dict[int, float]]" = {}
@@ -120,6 +130,12 @@ class PolarizationSurface:
 
     def _bracket(self, temperatures_k: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """(node index, fraction) of each query on the grid; validates range."""
+        finite = np.isfinite(temperatures_k)
+        if not np.all(finite):
+            bad = float(temperatures_k[~finite].flat[0])
+            raise ConfigurationError(
+                f"temperature query contains a non-finite value ({bad} K)"
+            )
         t_min, t_max = self.temperature_range_k
         if np.any(temperatures_k < t_min) or np.any(temperatures_k > t_max):
             bad_lo = float(temperatures_k.min())
@@ -138,8 +154,7 @@ class PolarizationSurface:
     def _build_nodes(self, nodes: "list[int]") -> None:
         """Construct the group curves of the given grid nodes in one march.
 
-        The one node-build path: a lazy single node and a prefilled set
-        both go through one
+        The one node-build path, run by :meth:`_fill`: one
         :func:`~repro.flowcell.batch.batched_polarization_curves` call,
         whose rows do not depend on the rest of their batch — so a node's
         curve is bit-identical however the surface was filled.
@@ -162,36 +177,42 @@ class PolarizationSurface:
         )
         for node, curve in zip(nodes, curves):
             self._curves[node] = curve.scaled(self.channels_per_group)
+        self._built[nodes] = True
 
-    def _curve(self, node: int) -> PolarizationCurve:
-        """The group curve at one grid node (built lazily, once)."""
-        if node not in self._curves:
-            # Warm counter: whether a node is already built depends on
-            # what earlier runs left in the shared surface.
-            obs.inc("surface.node_builds", warm=True)
-            self._build_nodes([node])
-        return self._curves[node]
+    def _fill(self, index: np.ndarray) -> int:
+        """Build the missing bracketing nodes of bracketed queries at once.
+
+        ``index`` is :meth:`_bracket`'s lower node per query; a query
+        reads nodes ``i`` and ``i + 1``. Every such node not yet built
+        goes through one :meth:`_build_nodes` march. Returns how many
+        nodes were built.
+        """
+        flat = index.ravel()
+        if self._built[flat].all() and self._built[flat + 1].all():
+            return 0
+        needed = np.unique(np.concatenate([flat, flat + 1]))
+        missing = needed[~self._built[needed]].tolist()
+        self._build_nodes(missing)
+        return len(missing)
 
     def warm_nodes(self, temperatures_k) -> int:
         """Build every node curve the given temperatures bracket, at once.
 
-        Collects the missing bracketing nodes of all the given query
-        temperatures and builds them in a single batched march, instead
-        of one march per lazy miss — the prefill the dynamic sweep
-        kernels run before sampling. Returns how many nodes were built.
-        A warmed node is bit-identical to the same node built lazily.
+        The same fill every query runs, ahead of the queries: a caller
+        about to read many temperatures (all columns of a dynamic sweep
+        step, all chip states of one flow level) prefills their nodes in
+        a single batched march. Returns how many nodes were built. A
+        warmed node is bit-identical to the same node built by a query.
         """
         temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
         index, _ = self._bracket(temps)
-        flat = index.ravel()
-        needed = np.unique(np.concatenate([flat, flat + 1]))
-        missing = [int(node) for node in needed if int(node) not in self._curves]
-        if not missing:
-            return 0
-        obs.inc("surface.nodes_warmed", len(missing), warm=True)
-        obs.observe("surface.warm_nodes.size", len(missing), warm=True)
-        self._build_nodes(missing)
-        return len(missing)
+        built = self._fill(index)
+        if built:
+            # Warm counters: whether a node is already built depends on
+            # what earlier runs left in the shared surface.
+            obs.inc("surface.nodes_warmed", built, warm=True)
+            obs.observe("surface.warm_nodes.size", built, warm=True)
+        return built
 
     def _node_current(self, node: int, voltage_v: float) -> float:
         """Group current of one grid node at a terminal voltage [A].
@@ -203,7 +224,7 @@ class PolarizationSurface:
         per_voltage = self._node_currents.setdefault(voltage_v, {})
         current = per_voltage.get(node)
         if current is None:
-            curve = self._curve(node)
+            curve = self._curves[node]
             v_max = float(curve.voltage_v[0])
             v_min = float(curve.voltage_v[-1])
             if voltage_v >= v_max:
@@ -216,7 +237,7 @@ class PolarizationSurface:
     def _node_ocv(self, node: int) -> float:
         ocv = self._node_ocvs.get(node)
         if ocv is None:
-            ocv = self._curve(node).open_circuit_voltage_v
+            ocv = self._curves[node].open_circuit_voltage_v
             self._node_ocvs[node] = ocv
         return ocv
 
@@ -243,6 +264,9 @@ class PolarizationSurface:
         temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
         obs.inc("surface.interpolations", temps.size)
         index, frac = self._bracket(temps)
+        built = self._fill(index)
+        if built:
+            obs.inc("surface.node_builds", built, warm=True)
         flat_index = index.ravel()
         flat_frac = frac.ravel()
         values = np.fromiter(
@@ -341,6 +365,25 @@ class PolarizationSurface:
     def clear_shared(cls) -> None:
         """Drop all shared surfaces (tests, memory pressure)."""
         cls._SHARED.clear()
+
+
+def warm_surfaces(
+    queries: "Iterable[tuple[PolarizationSurface, np.ndarray]]",
+) -> None:
+    """Prefill each distinct surface once for all its upcoming queries.
+
+    ``queries`` pairs a surface with the temperatures about to be read
+    off it; every surface gets one :meth:`PolarizationSurface.warm_nodes`
+    call over all of its temperatures, so its missing node curves are
+    marched as one batch instead of one per query.
+    """
+    grouped: "dict[int, tuple[PolarizationSurface, list[np.ndarray]]]" = {}
+    for surface, temps in queries:
+        grouped.setdefault(id(surface), (surface, []))[1].append(
+            np.ravel(temps)
+        )
+    for surface, temp_arrays in grouped.values():
+        surface.warm_nodes(np.concatenate(temp_arrays))
 
 
 def surface_for(config: "CosimConfig") -> PolarizationSurface:

@@ -14,7 +14,11 @@ Three faces of the same physics live here so they cannot drift:
   (fresh thermal model per call, like the other scalar evaluators);
 - :func:`batch_chip_states` — the vectorized kernel: one store-backed
   thermal model per quantized flow, utilization variants as stacked RHS
-  columns through one :class:`~repro.thermal.batch.AnchoredSteadySolver`;
+  columns through one :class:`~repro.thermal.batch.AnchoredSteadySolver`,
+  then one surface prefill per flow level: the group temperatures of all
+  that level's chip states go through
+  :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so its
+  missing node curves are marched as one batch;
 - :class:`ChipTable` — the ``(flow level, utilization level)`` lookup the
   :class:`~repro.fleet.fleet.FleetEngine` and the greedy allocation
   policy consume, built by running the grid through a
@@ -54,27 +58,36 @@ def chip_cosim_config(spec: ScenarioSpec):
     )
 
 
-def chip_metrics(spec: ScenarioSpec, solution, config) -> "dict[str, float]":
+def window_group_temperatures(solution, config, surface) -> np.ndarray:
+    """Channel-group coolant temperatures [K], clipped to ``surface``'s window.
+
+    The generation lookup's input, shared by both ``fleet_chip`` paths.
+    Deeply infeasible grid corners (minimum flow at full load) can push
+    the coolant past the surface's sampled window; they are tabulated
+    only so allocation can price infeasibility (their peaks sit far
+    beyond the trip limit, so they are never served), and their
+    generation saturates at the window edge rather than extrapolating.
+    """
+    from repro.cosim.coupling import group_coolant_temperatures
+
+    t_min, t_max = surface.temperature_range_k
+    return np.clip(group_coolant_temperatures(solution, config), t_min, t_max)
+
+
+def chip_metrics(
+    spec: ScenarioSpec, solution, surface, group_temps: np.ndarray
+) -> "dict[str, float]":
     """Assemble the ``fleet_chip`` metrics from a solved thermal state.
 
     Shared between the scalar evaluator and the batch kernel so both
     paths apply the identical generation/pumping energy balance.
     ``solution`` must be the steady state at the spec's coolant point and
-    utilization; ``config`` the matching :func:`chip_cosim_config`.
+    utilization; ``surface`` the shared surface of the matching
+    :func:`chip_cosim_config`; ``group_temps`` the solution's
+    :func:`window_group_temperatures` on it.
     """
     from repro.casestudy.power7plus import array_pumping_power_w
-    from repro.cosim.coupling import group_coolant_temperatures
-    from repro.cosim.surface import surface_for
 
-    group_temps = group_coolant_temperatures(solution, config)
-    surface = surface_for(config)
-    # Deeply infeasible grid corners (minimum flow at full load) can push
-    # the coolant past the surface's sampled window; they are tabulated
-    # only so allocation can price infeasibility (their peaks sit far
-    # beyond the trip limit, so they are never served), and their
-    # generation saturates at the window edge rather than extrapolating.
-    t_min, t_max = surface.temperature_range_k
-    group_temps = np.clip(group_temps, t_min, t_max)
     current = float(
         surface.currents_at(group_temps, spec.operating_voltage_v).sum()
     )
@@ -97,6 +110,7 @@ def chip_metrics(spec: ScenarioSpec, solution, config) -> "dict[str, float]":
 def chip_state_metrics(spec: ScenarioSpec) -> "dict[str, float]":
     """Scalar ``fleet_chip`` evaluation: one chip at one (flow, util)."""
     from repro.casestudy.power7plus import build_thermal_model
+    from repro.cosim.surface import surface_for
 
     model = build_thermal_model(
         nx=spec.nx,
@@ -106,7 +120,12 @@ def chip_state_metrics(spec: ScenarioSpec) -> "dict[str, float]":
         utilization=spec.utilization,
     )
     solution = model.solve_steady()
-    return chip_metrics(spec, solution, chip_cosim_config(spec))
+    config = chip_cosim_config(spec)
+    surface = surface_for(config)
+    return chip_metrics(
+        spec, solution, surface,
+        window_group_temperatures(solution, config, surface),
+    )
 
 
 def batch_chip_states(
@@ -122,6 +141,7 @@ def batch_chip_states(
     sharing pattern as :func:`repro.sweep.vectorized.batch_peak_temperatures`.
     """
     from repro.casestudy.power7plus import full_load_power_map
+    from repro.cosim.surface import surface_for, warm_surfaces
     from repro.geometry.power7 import build_power7_floorplan
     from repro.runtime.engine import shared_thermal_model
     from repro.sweep.vectorized import _middle_out
@@ -168,17 +188,23 @@ def batch_chip_states(
                 solutions[(flow, inlet, utilization, nx, ny)] = ThermalSolution(
                     temperatures_k=temperatures[:, k].copy(), model=model
                 )
-    return [
-        chip_metrics(
-            spec,
-            solutions[(
-                spec.total_flow_ml_min, spec.inlet_temperature_k,
-                spec.utilization, spec.nx, spec.ny,
-            )],
-            chip_cosim_config(spec),
-        )
-        for spec in specs
-    ]
+
+    # Prefill: one warm_nodes call per surface (one surface per flow
+    # level) over all its chip states' group temperatures, so a whole
+    # flow level's node curves are marched as one batch before any state
+    # reads them (the curves are the same either way).
+    states = []
+    for spec in specs:
+        solution = solutions[(
+            spec.total_flow_ml_min, spec.inlet_temperature_k,
+            spec.utilization, spec.nx, spec.ny,
+        )]
+        config = chip_cosim_config(spec)
+        surface = surface_for(config)
+        temps = window_group_temperatures(solution, config, surface)
+        states.append((spec, solution, surface, temps))
+    warm_surfaces((surface, temps) for _, _, surface, temps in states)
+    return [chip_metrics(*state) for state in states]
 
 
 def _nearest_indices(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

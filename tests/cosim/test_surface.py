@@ -1,5 +1,7 @@
 """Tests for the shared polarization surface (the co-sim curve source)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,22 @@ def direct_group_curve(flow_ml_min: float, temperature_k: float, n_points: int):
     return cell.polarization_curve(
         n_points=n_points, max_overpotential_v=1.4
     ).scaled(CHANNELS_PER_GROUP)
+
+
+@pytest.fixture
+def marches(monkeypatch):
+    """Batch sizes of every porous march the test makes, in order."""
+    import repro.flowcell.batch as flowcell_batch
+
+    sizes = []
+    march = flowcell_batch.batched_polarization_curves
+
+    def counting(cells, **kwargs):
+        sizes.append(len(cells))
+        return march(cells, **kwargs)
+
+    monkeypatch.setattr(flowcell_batch, "batched_polarization_curves", counting)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +140,45 @@ class TestGrid:
         np.testing.assert_array_equal(
             warmed.currents_at(temps, 1.0), lazy.currents_at(temps, 1.0)
         )
+
+    def test_query_marches_its_missing_nodes_in_one_batch(self, marches):
+        """A cold query bracketing k nodes builds them in one batched
+        march, bit-identical to filling them one query at a time."""
+        temps = [299.7, 300.3, 318.9, 341.0, 363.2]
+        lazy = PolarizationSurface(676.0, CHANNELS_PER_GROUP, n_curve_points=20)
+        for t in temps:
+            lazy.currents_at([t], 1.0)
+        marches.clear()
+
+        filled = PolarizationSurface(676.0, CHANNELS_PER_GROUP,
+                                     n_curve_points=20)
+        currents = filled.currents_at(temps, 1.0)
+        assert marches == [lazy.nodes_built] == [9]
+        np.testing.assert_array_equal(currents, lazy.currents_at(temps, 1.0))
+        for node in lazy._curves:
+            np.testing.assert_array_equal(
+                filled._curves[node].current_a, lazy._curves[node].current_a
+            )
+        # Every node is now built: the OCV query marches nothing.
+        np.testing.assert_array_equal(
+            filled.ocvs_at(temps), lazy.ocvs_at(temps)
+        )
+        assert marches == [9]
+
+    @pytest.mark.parametrize("query", [
+        lambda surface, temps: surface.currents_at(temps, 0.9),
+        lambda surface, temps: surface.ocvs_at(temps),
+        lambda surface, temps: surface.warm_nodes(temps),
+    ], ids=["currents_at", "ocvs_at", "warm_nodes"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises_and_builds_nothing(self, query, bad):
+        fresh = PolarizationSurface(676.0, CHANNELS_PER_GROUP,
+                                    n_curve_points=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                query(fresh, [bad, 300.0])
+        assert fresh.nodes_built == 0
 
     def test_out_of_range_raises(self, surface):
         lo, hi = surface.temperature_range_k
@@ -256,3 +313,21 @@ class TestSharing:
             assert surface_for(config) is not first
         finally:
             PolarizationSurface.clear_shared()
+
+
+class TestColdCosimMarches:
+    def test_one_node_march_per_iteration(self, marches):
+        """A cold fixed-point run marches each query's missing nodes in
+        one batch: at most one march per iteration, plus one for the
+        isothermal reference."""
+        from repro.cosim import ElectroThermalCosim
+
+        PolarizationSurface.clear_shared()
+        try:
+            config = CosimConfig(nx=22, ny=11, n_curve_points=20)
+            result = ElectroThermalCosim(config).run()
+            nodes = surface_for(config).nodes_built
+        finally:
+            PolarizationSurface.clear_shared()
+        assert 1 < len(marches) <= result.iterations + 1
+        assert sum(marches) == nodes
